@@ -23,6 +23,7 @@ from . import generators
 from .chordal import is_chordal
 from .convexity import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_SCAN_N,
     NotConvexError,
     SizeCapError,
     effective_k,
@@ -373,6 +374,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.exhaustive_n is None and not args.random:
         raise FormatError("nothing to do: pass --exhaustive-n and/or --random")
+    if args.random and not 2 <= args.size <= MAX_SCAN_N:
+        raise FormatError(f"--size must lie in 2..{MAX_SCAN_N}, got {args.size}")
     recognizer = _recognizer_for(args.k)
     dump_dir = Path(args.dump_dir)
     instances = 0
@@ -549,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive convex-geometry check")
     common(p)
     p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                   help=f"vertex cap for the subset scan (default {DEFAULT_ENUMERATION_CAP}; "
-                        "env CONVEXITY_MAX_N overrides)")
+                   help=f"vertex cap for the subset scan (default {DEFAULT_ENUMERATION_CAP}, "
+                        f"at most {MAX_SCAN_N}; overrides env CONVEXITY_MAX_N)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("crosscheck", help="recognizer vs oracle over instance ensembles")
@@ -559,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check all connected graphs up to this many vertices (<= 6)")
     p.add_argument("--random", type=int, default=0, metavar="COUNT",
                    help="also check COUNT random connected chordal graphs")
-    p.add_argument("--size", type=int, default=10, help="max vertices of random instances")
+    p.add_argument("--size", type=int, default=10,
+                   help=f"max vertices of random instances (2..{MAX_SCAN_N})")
     p.add_argument("--seed", type=int, default=0, help="seed for the random ensemble")
     p.add_argument("--dump-dir", default=".", dest="dump_dir",
                    help="where mismatching graphs are written")

@@ -7,22 +7,30 @@ increasing size, lexicographic within a size) is returned as a certificate
 holding the convex set, its extreme points, and the hull those extremes
 actually generate.  Exponential by design: it is the ground truth the
 polynomial recognizers are validated against, so it stays brute force.
+
+The scan (convexity.scan_convex) fills a span table: span[S] is the union
+of the pair intervals of S, built from two smaller subsets and one pair, and
+S is convex when span[S] == S.  A convex S then reads its extreme points
+off the table by their definition (S - x convex), and the replay iterates
+span from them; every set read lies inside S, so it is already filled.
+The table has 2^n entries, so no cap above MAX_SCAN_N (22) vertices is
+accepted.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
-from .bits import mask_of, set_of
+from .bits import set_of
 from .convexity import (
     DEFAULT_ENUMERATION_CAP,
     IntervalCache,
     NotConvexError,
-    SizeCapError,
     _set_mask,
+    scan_convex,
+    span_table,
 )
 from .graph import Graph, GraphError, is_connected, simplicial_mask
 
@@ -58,9 +66,23 @@ class MkmCheck(NamedTuple):
     hull_of_extremes: frozenset[int]
 
 
-def _reconstructs(cache: IntervalCache, smask: int) -> tuple[bool, int, int]:
-    ext = simplicial_mask(cache.g, smask)
-    hull = cache.hull_masks(ext)[-1] if ext else 0
+def _reconstructs(span: list[int], smask: int) -> tuple[bool, int, int]:
+    """Extreme points of the convex smask and the hull they generate.
+
+    Reads only span entries of subsets of smask, which the scan has filled:
+    x is extreme when smask - x is convex, and the hull is the fixed point
+    of span from the extreme points.
+    """
+    ext = 0
+    rest = smask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if span[smask ^ low] == smask ^ low:
+            ext |= low
+    hull = ext
+    while (nxt := span[hull]) != hull:
+        hull = nxt
     return hull == smask, ext, hull
 
 
@@ -75,8 +97,9 @@ def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmCheck:
     if bad is not None:
         u, v, esc = bad
         raise NotConvexError((u, v), esc)
-    ok, ext, hm = _reconstructs(cache, smask)
-    return MkmCheck(ok, set_of(ext), set_of(hm))
+    ext = simplicial_mask(g, smask)
+    hm = cache.hull_masks(ext)[-1]
+    return MkmCheck(hm == smask, set_of(ext), set_of(hm))
 
 
 def verify_geometry(
@@ -84,25 +107,16 @@ def verify_geometry(
 ) -> GeometryVerdict:
     """Check every convex set against its extreme-point reconstruction.
 
-    Refuses graphs above max_n vertices (the subset scan is 2^n) and
-    disconnected graphs.
+    Refuses graphs above max_n (or MAX_SCAN_N) vertices, since the subset
+    scan is 2^n, and disconnected graphs.
     """
-    if g.n > max_n:
-        raise SizeCapError(
-            f"refusing to scan subsets of {g.n} vertices (cap {max_n})"
-        )
+    span = span_table(g, max_n, "scan")
     if not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
-    cache = IntervalCache(g, k)
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            smask = mask_of(combo)
-            if cache.violation(smask) is not None:
-                continue
-            ok, ext, hm = _reconstructs(cache, smask)
-            if not ok:
-                return GeometryVerdict(
-                    False,
-                    MkmViolation(frozenset(combo), set_of(ext), set_of(hm)),
-                )
+    for smask in scan_convex(g, k, span):
+        ok, ext, hm = _reconstructs(span, smask)
+        if not ok:
+            return GeometryVerdict(
+                False, MkmViolation(set_of(smask), set_of(ext), set_of(hm))
+            )
     return GeometryVerdict(True, None)

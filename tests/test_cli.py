@@ -149,6 +149,16 @@ def test_oracle_cap_and_env(capsys, monkeypatch, strip_file):
     capsys.readouterr()
 
 
+def test_oracle_refuses_past_scan_ceiling(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "p40.txt"
+    f.write_text(format_graph(generators.path(40)))
+    assert main(["oracle", str(f), "--k", "3", "--max-n", "40"]) == 2
+    assert "at most 22 vertices" in capsys.readouterr().err
+    monkeypatch.setenv("CONVEXITY_MAX_N", "40")
+    assert main(["oracle", str(f), "--k", "3"]) == 2
+    capsys.readouterr()
+
+
 def test_crosscheck_exhaustive(capsys, tmp_path):
     code, data = run_json(
         capsys,
@@ -173,6 +183,13 @@ def test_crosscheck_random(capsys, tmp_path):
 def test_crosscheck_needs_work(capsys):
     assert main(["crosscheck", "--k", "2"]) == 2
     capsys.readouterr()
+
+
+def test_crosscheck_rejects_random_size_out_of_range(capsys):
+    for size in ("1", "0", "23"):
+        assert main(["crosscheck", "--k", "3", "--random", "3", "--size", size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --size") and "Traceback" not in err
 
 
 def test_generate_round_trip(capsys, tmp_path):

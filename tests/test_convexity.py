@@ -232,6 +232,8 @@ def test_enumerate_cap():
     with pytest.raises(SizeCapError):
         enumerate_convex_sets(g, 3)
     assert len(enumerate_convex_sets(g, 3, max_n=17)) > 0
+    with pytest.raises(SizeCapError):
+        enumerate_convex_sets(generators.path(40), 3, max_n=40)
 
 
 def test_convex_sets_closed_under_intersection(small_graph_pool):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from bruteforce import brute_hull, brute_is_convex, brute_simplicial, subsets
 from lkconvex import (
     Graph,
     GraphError,
+    MkmViolation,
     NotConvexError,
     SizeCapError,
     extreme_points,
@@ -78,6 +80,9 @@ def test_verify_geometry_guards():
     with pytest.raises(SizeCapError):
         verify_geometry(generators.path(17), 3)
     assert verify_geometry(generators.path(17), 3, max_n=17).is_geometry is False
+    # past the scan's own ceiling no max_n helps; refused before the 2^n table
+    with pytest.raises(SizeCapError):
+        verify_geometry(generators.path(40), 3, max_n=40)
     with pytest.raises(GraphError):
         verify_geometry(Graph(3, [(0, 1)]), 2)
 
@@ -107,3 +112,33 @@ def test_violation_sets_agree_with_public_ops(small_graph_pool):
             else:
                 assert v.hull_of_extremes == frozenset()
             assert v.hull_of_extremes != v.convex_set
+
+
+def _reference_verdict(g, k):
+    """The oracle's scan rebuilt from the brute-force helpers alone."""
+    for s in subsets(range(g.n), min_size=1):
+        if not brute_is_convex(g, k, s):
+            continue
+        ext = brute_simplicial(g, s)
+        hull_of_ext = brute_hull(g, k, ext)
+        if hull_of_ext != frozenset(s):
+            return False, MkmViolation(frozenset(s), ext, hull_of_ext)
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4)] + [(5, 3)]
+)
+def test_certificates_match_reference_scan(n, k):
+    for g in generators.all_connected_graphs(n):
+        verdict = verify_geometry(g, k)
+        assert (verdict.is_geometry, verdict.violation) == _reference_verdict(g, k)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_cycle_certificates_match_reference_scan(n):
+    # a whole cycle is convex with no simplicial vertex: the empty replay
+    g = generators.cycle(n)
+    for k in (2, 3, 4):
+        verdict = verify_geometry(g, k)
+        assert (verdict.is_geometry, verdict.violation) == _reference_verdict(g, k)
