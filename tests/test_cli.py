@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from lkconvex import format_graph, generators
+from lkconvex import Graph, format_graph, generators
 from lkconvex.cli import main
 
 DIMACS_STRIP = """\
@@ -253,3 +255,84 @@ def test_verbose_clamp_note(capsys, strip_file):
     assert main(["hull", strip_file, "--k", "99", "--set", "0,6", "--verbose"]) == 0
     captured = capsys.readouterr()
     assert "clamp" in captured.err or "using k=6" in captured.err
+
+
+# --- pinned output -------------------------------------------------------
+#
+# Full stdout and exit code of one run per case, text and --json, compared
+# with tests/cli_golden.json.  wall_time_s is the only field masked.
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+WALL_TIME = re.compile(r'"wall_time_s": [-+.0-9eE]+')
+
+PINNED_INPUTS = {
+    "strip": (lambda: format_graph(generators.triangle_strip7()), "strip.txt", 0),
+    "dimacs": (lambda: DIMACS_STRIP, "strip.dim", 1),
+    "gem4": (lambda: format_graph(generators.gem(4)), "gem4.txt", 0),
+    "path6": (lambda: format_graph(generators.path(6)), "path6.txt", 0),
+    "cycle6": (lambda: format_graph(generators.cycle(6)), "cycle6.txt", 0),
+    # gem(4) plus two vertices that give the base ends a detour: solved gems
+    "solved": (lambda: format_graph(Graph(8, list(generators.gem(4).edges()) + [
+        (0, 6), (1, 6), (2, 6), (5, 6), (2, 7), (3, 7), (4, 7), (5, 7), (6, 7)])),
+        "solved.txt", 0),
+}
+
+
+def _ids(offset, *vertices):
+    return ",".join(str(v + offset) for v in vertices)
+
+
+def _pinned_cases():
+    cases = {}
+    for name in ("strip", "dimacs"):
+        off = PINNED_INPUTS[name][2]
+        cases[f"{name}-recognize-k2"] = (name, ["recognize", "--k", "2"])
+        cases[f"{name}-recognize-k3"] = (name, ["recognize", "--k", "3"])
+        cases[f"{name}-interval"] = (name, ["interval", "--k", "3", "--pair", _ids(off, 0, 6)])
+        cases[f"{name}-hull"] = (name, ["hull", "--k", "3", "--set", _ids(off, 0, 6)])
+        cases[f"{name}-extremes-convex"] = (
+            name, ["extremes", "--k", "3", "--set", _ids(off, *range(7))])
+        cases[f"{name}-extremes-not-convex"] = (
+            name, ["extremes", "--k", "3", "--set", _ids(off, 0, 6)])
+        cases[f"{name}-gems"] = (name, ["gems"])
+        cases[f"{name}-oracle-yes"] = (name, ["oracle", "--k", "3"])
+        cases[f"{name}-interval-bad-vertex"] = (name, ["interval", "--k", "3", "--pair", "0,99"])
+    for name in ("gem4", "path6", "cycle6"):
+        cases[f"{name}-recognize-k2"] = (name, ["recognize", "--k", "2"])
+        cases[f"{name}-recognize-k3"] = (name, ["recognize", "--k", "3"])
+    cases["gem4-gems"] = ("gem4", ["gems"])
+    cases["solved-recognize-k3"] = ("solved", ["recognize", "--k", "3"])
+    cases["solved-gems"] = ("solved", ["gems"])
+    cases["gem4-oracle-no"] = ("gem4", ["oracle", "--k", "3"])
+    cases["path6-oracle-no"] = ("path6", ["oracle", "--k", "2"])
+    cases["crosscheck-exhaustive"] = (None, ["crosscheck", "--k", "2", "--exhaustive-n", "4"])
+    cases["crosscheck-random"] = (
+        None, ["crosscheck", "--k", "3", "--random", "6", "--size", "8", "--seed", "5"])
+    cases["demo-non-hereditary"] = (None, ["demo-non-hereditary"])
+    return cases
+
+
+PINNED_CASES = _pinned_cases()
+
+
+def pinned_argv(case, tmp_path):
+    """The argv of a pinned case, with its input file written under tmp_path."""
+    name, argv = PINNED_CASES[case]
+    if argv[0] == "crosscheck":
+        return argv + ["--dump-dir", str(tmp_path)]
+    if name is None:
+        return list(argv)
+    text, filename, _ = PINNED_INPUTS[name]
+    f = tmp_path / filename
+    f.write_text(text())
+    return [argv[0], str(f), *argv[1:]]
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_pinned_output(capsys, tmp_path, case, mode):
+    argv = pinned_argv(case, tmp_path) + (["--json"] if mode == "json" else [])
+    code = main(argv)
+    out = WALL_TIME.sub('"wall_time_s": 0', capsys.readouterr().out)
+    expected = json.loads(GOLDEN.read_text())[f"{case}/{mode}"]
+    assert (code, out) == (expected["code"], expected["stdout"])
