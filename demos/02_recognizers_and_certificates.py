@@ -8,13 +8,9 @@ script re-validates each one against the graph it came from.
 from __future__ import annotations
 
 from lkconvex import (
-    FarPair,
-    GemWitness,
-    HoleWitness,
-    InducedPath,
-    bfs_distances,
+    certificate_holds,
+    certificate_json,
     generators,
-    is_gem_solved,
     recognize_l2,
     recognize_l3,
 )
@@ -30,19 +26,20 @@ samples = [
 ]
 
 
-def replay(g, cert) -> str:
-    if isinstance(cert, HoleWitness):
-        return f"hole {cert.cycle} revalidates: {cert.is_hole_in(g)}"
-    if isinstance(cert, InducedPath):
-        ok = cert.is_induced_in(g) and cert.length == 3
-        return f"induced P4 {cert.vertices} revalidates: {ok}"
-    if isinstance(cert, FarPair):
-        ok = bfs_distances(g, cert.u)[cert.v] == cert.distance
-        return f"far pair ({cert.u},{cert.v}) at distance {cert.distance} revalidates: {ok}"
-    if isinstance(cert, GemWitness):
-        ok = cert.is_valid_in(g) and not is_gem_solved(g, cert)[0]
-        return f"unsolved gem base={cert.base.vertices} apex={cert.apex} revalidates: {ok}"
-    return "no certificate"
+# How each certificate kind is shown, filled in from its JSON fields.
+SHOWN = {
+    "hole": "hole {cycle}",
+    "p4": "induced P4 {path}",
+    "far_pair": "far pair ({u},{v}) at distance {distance}",
+    "unsolved_gem": "unsolved gem base={base} apex={apex}",
+}
+
+
+def describe(cert) -> str:
+    fields = certificate_json(cert)
+    return SHOWN[fields["kind"]].format(
+        **{key: tuple(x) if isinstance(x, list) else x for key, x in fields.items()}
+    )
 
 
 for name, g in samples:
@@ -56,5 +53,6 @@ for name, g in samples:
             print(line)
         else:
             print(f"  k={k}: rejected [{verdict.certificate_kind}]")
-            print(f"    {replay(g, verdict.certificate)}")
+            ok = certificate_holds(g, k, verdict.certificate)
+            print(f"    {describe(verdict.certificate)} revalidates: {ok}")
     print()

@@ -55,6 +55,8 @@ from .recognizers import (
     FarPair,
     GemWitness,
     RecognitionVerdict,
+    certificate_holds,
+    certificate_json,
     enumerate_gems,
     is_gem_solved,
     necessary_conditions,
@@ -85,6 +87,8 @@ __all__ = [
     "RecognitionVerdict",
     "SizeCapError",
     "bfs_distances",
+    "certificate_holds",
+    "certificate_json",
     "contains_induced_path",
     "diameter",
     "distance",

@@ -22,11 +22,11 @@ longer), so k is clamped there.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .bits import iter_bits, mask_of, set_of
-from .graph import Graph, GraphError, _path_tuples, simplicial_mask
+from .graph import Graph, GraphError, _path_tuples, labeller, simplicial_mask
 
 DEFAULT_ENUMERATION_CAP = 16
 # The subset scan keeps one span-table entry per subset, 2^n in all.  At 22
@@ -150,9 +150,11 @@ class HullTrace:
     def steps(self) -> int:
         return len(self.iterates) - 1
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, labels: Sequence[int] | None = None) -> dict:
+        """Trace as a JSON-ready dict; vertex v is shown as labels[v]."""
+        name = labeller(labels)
         return {
-            "iterates": [sorted(s) for s in self.iterates],
+            "iterates": [sorted(map(name, s)) for s in self.iterates],
             "steps": self.steps,
         }
 

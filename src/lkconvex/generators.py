@@ -11,7 +11,7 @@ from collections.abc import Iterator
 from itertools import combinations
 
 from .bits import iter_bits
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, is_connected
 
 _STRIP7_EDGES = (
     (0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3),
@@ -154,20 +154,12 @@ def all_connected_graphs(n: int) -> Iterator[Graph]:
     if not 1 <= n <= 7:
         raise GraphError(f"exhaustive enumeration is capped at n=7, got {n}")
     pairs = list(combinations(range(n), 2))
-    full = (1 << n) - 1
     for code in range(1 << len(pairs)):
         adj = [0] * n
         for i in iter_bits(code):
             u, v = pairs[i]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        reached = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for x in iter_bits(frontier):
-                nxt |= adj[x]
-            frontier = nxt & ~reached
-            reached |= frontier
-        if reached == full:
-            yield Graph._from_adj(n, adj)
+        g = Graph._from_adj(n, adj)
+        if is_connected(g):
+            yield g

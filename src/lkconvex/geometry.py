@@ -19,7 +19,7 @@ accepted.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ from .convexity import (
     scan_convex,
     span_table,
 )
-from .graph import Graph, GraphError, is_connected, simplicial_mask
+from .graph import Graph, GraphError, is_connected, labeller, simplicial_mask
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,16 @@ class GeometryVerdict:
     is_geometry: bool
     violation: MkmViolation | None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, labels: Sequence[int] | None = None) -> dict:
+        """Verdict as a JSON-ready dict; vertex v is shown as labels[v]."""
         cert = None
         if self.violation is not None:
+            name = labeller(labels)
+            v = self.violation
             cert = {
-                "set": sorted(self.violation.convex_set),
-                "ext": sorted(self.violation.extreme_points),
-                "hull": sorted(self.violation.hull_of_extremes),
+                "set": sorted(map(name, v.convex_set)),
+                "ext": sorted(map(name, v.extreme_points)),
+                "hull": sorted(map(name, v.hull_of_extremes)),
             }
         return {"geometry": self.is_geometry, "certificate": cert}
 

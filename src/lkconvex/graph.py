@@ -10,7 +10,7 @@ give byte-identical output.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,6 +110,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def labeller(labels: Sequence[int] | None) -> Callable[[int], int]:
+    """Vertex id to its label: labels[v], or v itself without labels."""
+    return (lambda v: v) if labels is None else labels.__getitem__
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """BFS distances from source; -1 marks unreachable vertices."""
     g.check_vertex(source)
@@ -198,17 +203,7 @@ class InducedPath:
 
     def is_induced_in(self, g: Graph) -> bool:
         """Check consecutive adjacency and non-consecutive non-adjacency."""
-        vs = self.vertices
-        if len(vs) != len(set(vs)) or not vs:
-            return False
-        if any(not 0 <= x < g.n for x in vs):
-            return False
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                adjacent = g._adj[vs[i]] >> vs[j] & 1
-                if bool(adjacent) != (j == i + 1):
-                    return False
-        return True
+        return _adjacent_exactly_in_order(g, self.vertices, cyclic=False)
 
 
 @dataclass(frozen=True)
@@ -218,19 +213,21 @@ class HoleWitness:
     cycle: tuple[int, ...]
 
     def is_hole_in(self, g: Graph) -> bool:
-        vs = self.cycle
-        if len(vs) < 4 or len(vs) != len(set(vs)):
-            return False
-        if any(not 0 <= x < g.n for x in vs):
-            return False
-        r = len(vs)
-        for i in range(r):
-            for j in range(i + 1, r):
-                adjacent = bool(g._adj[vs[i]] >> vs[j] & 1)
-                consecutive = j - i == 1 or (i == 0 and j == r - 1)
-                if adjacent != consecutive:
-                    return False
-        return True
+        return len(self.cycle) >= 4 and _adjacent_exactly_in_order(g, self.cycle, cyclic=True)
+
+
+def _adjacent_exactly_in_order(g: Graph, vs: tuple[int, ...], cyclic: bool) -> bool:
+    """vs are distinct vertices of g, and a pair of them is adjacent exactly
+    when it is consecutive in vs (first and last count too when cyclic)."""
+    if not vs or len(vs) != len(set(vs)) or any(not 0 <= x < g.n for x in vs):
+        return False
+    r = len(vs)
+    for i in range(r):
+        for j in range(i + 1, r):
+            adjacent = bool(g._adj[vs[i]] >> vs[j] & 1)
+            if adjacent != (j == i + 1 or (cyclic and i == 0 and j == r - 1)):
+                return False
+    return True
 
 
 def _path_tuples(g: Graph, u: int, v: int, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -16,7 +16,7 @@ for the two characterized cases above.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .bits import iter_bits
@@ -27,10 +27,14 @@ from .graph import (
     InducedPath,
     bfs_distances,
     contains_induced_path,
+    distance,
     induced_paths_between,
     is_connected,
+    labeller,
 )
 from .chordal import is_chordal
+from .convexity import NotConvexError
+from .geometry import MkmViolation, mkm_check_set
 
 
 @dataclass(frozen=True)
@@ -61,15 +65,61 @@ class FarPair:
     v: int
     distance: int
 
+    def is_far_in(self, g: Graph, k: int) -> bool:
+        """Both ends in g, exactly self.distance apart, and beyond k."""
+        in_g = 0 <= self.u < g.n and 0 <= self.v < g.n
+        return in_g and distance(g, self.u, self.v) == self.distance > k
+
 
 Certificate = HoleWitness | InducedPath | FarPair | GemWitness
 
-_KINDS = {
-    HoleWitness: "hole",
-    InducedPath: "p4",
-    FarPair: "far_pair",
-    GemWitness: "unsolved_gem",
-}
+
+def certificate_json(cert: Certificate, labels: Sequence[int] | None = None) -> dict:
+    """A rejection certificate as a JSON-ready dict, kind first; vertex v is
+    shown as labels[v], or as v itself without labels."""
+    name = labeller(labels)
+    match cert:
+        case HoleWitness(cycle):
+            return {"kind": "hole", "cycle": [name(x) for x in cycle]}
+        case InducedPath(vertices):
+            return {"kind": "p4", "path": [name(x) for x in vertices]}
+        case FarPair(u, v, dist):
+            return {"kind": "far_pair", "u": name(u), "v": name(v), "distance": dist}
+        case GemWitness(base, apex):
+            return {"kind": "unsolved_gem", "base": [name(x) for x in base.vertices], "apex": name(apex)}
+    raise TypeError(f"not a recognition certificate: {cert!r}")
+
+
+def gem_json(w: GemWitness, path: InducedPath | None, labels: Sequence[int] | None = None) -> dict:
+    """A gem and the path solving it (None when unsolved), labelled as above."""
+    name = labeller(labels)
+    return {
+        "base": [name(x) for x in w.base.vertices],
+        "apex": name(w.apex),
+        "solving_path": None if path is None else [name(x) for x in path.vertices],
+    }
+
+
+def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> bool:
+    """Re-check a certificate against the graph it came from: an induced
+    cycle, an induced 3-edge path, a pair beyond k, an unsolved gem, or an
+    oracle violation.  The violation is replayed by mkm_check_set, whose
+    interval-cache path shares no code with the span-table scan."""
+    match cert:
+        case MkmViolation(convex_set, ext, hull):
+            try:
+                return mkm_check_set(g, k, convex_set) == (False, ext, hull)
+            except (NotConvexError, GraphError):
+                return False
+        case HoleWitness():
+            return cert.is_hole_in(g)
+        case InducedPath():
+            return cert.is_induced_in(g) and cert.length == 3
+        case FarPair():
+            return cert.is_far_in(g, k)
+        case GemWitness():
+            return cert.is_valid_in(g) and not is_gem_solved(g, cert)[0]
+    return False
 
 
 @dataclass(frozen=True)
@@ -86,33 +136,14 @@ class RecognitionVerdict:
 
     @property
     def certificate_kind(self) -> str | None:
-        if self.certificate is None:
-            return None
-        return _KINDS[type(self.certificate)]
+        return None if self.certificate is None else certificate_json(self.certificate)["kind"]
 
-    def to_json_dict(self) -> dict:
-        cert = None
-        kind = self.certificate_kind
-        if kind == "hole":
-            cert = {"kind": kind, "cycle": list(self.certificate.cycle)}
-        elif kind == "p4":
-            cert = {"kind": kind, "path": list(self.certificate.vertices)}
-        elif kind == "far_pair":
-            c = self.certificate
-            cert = {"kind": kind, "u": c.u, "v": c.v, "distance": c.distance}
-        elif kind == "unsolved_gem":
-            c = self.certificate
-            cert = {"kind": kind, "base": list(c.base.vertices), "apex": c.apex}
+    def to_json_dict(self, labels: Sequence[int] | None = None) -> dict:
+        """Verdict as a JSON-ready dict; vertex v is shown as labels[v]."""
+        cert = None if self.certificate is None else certificate_json(self.certificate, labels)
         out: dict = {"accepted": self.accepted, "certificate": cert}
         if self.solved_gems:
-            out["solved_gems"] = [
-                {
-                    "base": list(w.base.vertices),
-                    "apex": w.apex,
-                    "solving_path": list(p.vertices),
-                }
-                for w, p in self.solved_gems
-            ]
+            out["solved_gems"] = [gem_json(w, p, labels) for w, p in self.solved_gems]
         return out
 
 

@@ -6,7 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from lkconvex import Graph, format_graph, generators
+from lkconvex import (
+    FarPair,
+    GemWitness,
+    GeometryVerdict,
+    Graph,
+    HoleWitness,
+    InducedPath,
+    MkmViolation,
+    RecognitionVerdict,
+    cli,
+    format_graph,
+    generators,
+)
 from lkconvex.cli import main
 
 DIMACS_STRIP = """\
@@ -243,6 +255,47 @@ def test_operational_errors(capsys, tmp_path, strip_file):
     assert main(["interval", strip_file, "--k", "3", "--pair", "0"]) == 2
     assert main(["interval", strip_file, "--k", "3", "--pair", "0,99"]) == 2
     capsys.readouterr()
+
+
+STRIP_BAD_CERTIFICATES = {
+    "hole-with-chord": HoleWitness((0, 1, 3, 2)),
+    "p4-with-chord": InducedPath((0, 1, 2, 3)),
+    "far-pair-wrong-distance": FarPair(0, 6, 2),
+    "far-pair-within-k": FarPair(0, 6, 3),
+    "gem-apex-misses-base": GemWitness(InducedPath((0, 1, 3, 5)), 2),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("bad", sorted(STRIP_BAD_CERTIFICATES))
+def test_recognize_refuses_failing_certificate(capsys, monkeypatch, strip_file, bad, flags):
+    cert = STRIP_BAD_CERTIFICATES[bad]
+    monkeypatch.setattr(cli, "recognize_l3", lambda g: RecognitionVerdict(False, cert))
+    assert main(["recognize", strip_file, "--k", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("name,violation", [
+    # gem(4)'s real certificate with a wrong hull
+    ("gem4", MkmViolation(frozenset(range(6)), frozenset({0, 4}), frozenset({0, 4}))),
+    # a convex set of the strip that is the hull of its extremes
+    ("strip", MkmViolation(frozenset(range(7)), frozenset({0, 6}), frozenset({0, 6}))),
+    # a set that is not convex at all
+    ("strip", MkmViolation(frozenset({0, 6}), frozenset({0, 6}), frozenset({0, 6}))),
+])
+def test_oracle_refuses_failing_certificate(capsys, monkeypatch, tmp_path, name, violation, flags):
+    f = tmp_path / "g.txt"
+    g = generators.gem(4) if name == "gem4" else generators.triangle_strip7()
+    f.write_text(format_graph(g))
+    monkeypatch.setattr(
+        cli, "verify_geometry", lambda g, k, max_n: GeometryVerdict(False, violation))
+    assert main(["oracle", str(f), "--k", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
 
 
 def test_usage_error_exits_2(strip_file):

@@ -110,6 +110,10 @@ def test_hull_trace_strip(strip7):
         "iterates": [[0, 6], [0, 1, 4, 6], [0, 1, 2, 3, 4, 5, 6]],
         "steps": 2,
     }
+    assert tr.to_json_dict(labels=range(1, 8)) == {
+        "iterates": [[1, 7], [1, 2, 5, 7], [1, 2, 3, 4, 5, 6, 7]],
+        "steps": 2,
+    }
 
 
 def test_hull_fixed_point_of_convex_sets(strip7):

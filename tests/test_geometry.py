@@ -9,6 +9,7 @@ from lkconvex import (
     MkmViolation,
     NotConvexError,
     SizeCapError,
+    certificate_holds,
     extreme_points,
     generators,
     hull,
@@ -38,6 +39,13 @@ def test_strip_minus_interior_vertex_fails(strip7):
         assert is_convex(sub.graph, 3, v.convex_set)
         assert extreme_points(sub.graph, 3, v.convex_set) == v.extreme_points
         assert hull(sub.graph, 3, v.extreme_points).hull == v.hull_of_extremes
+        assert certificate_holds(sub.graph, 3, v)
+        wrong_hull = MkmViolation(v.convex_set, v.extreme_points, v.convex_set)
+        assert not certificate_holds(sub.graph, 3, wrong_hull)
+        ends = [0, 6]  # the parent ids of the two extreme points
+        assert verdict.to_json_dict(sub.parent_ids)["certificate"] == {
+            "set": sorted(set(range(7)) - {victim}), "ext": ends, "hull": ends,
+        }
         assert v.hull_of_extremes != v.convex_set
 
 

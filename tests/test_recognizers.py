@@ -11,6 +11,7 @@ from lkconvex import (
     HoleWitness,
     InducedPath,
     bfs_distances,
+    certificate_holds,
     enumerate_gems,
     generators,
     induced_subgraph,
@@ -230,6 +231,47 @@ def test_verdict_json_shapes(strip7):
     assert d["accepted"] and all(
         set(row) == {"base", "apex", "solving_path"} for row in d["solved_gems"]
     )
+
+
+def test_verdict_json_labels():
+    labels = range(10, 18)
+    d = recognize_l3(generators.gem(4)).to_json_dict(labels)
+    assert d["certificate"] == {"kind": "unsolved_gem", "base": [10, 11, 12, 13, 14], "apex": 15}
+    d = recognize_l3(generators.path(6)).to_json_dict(labels)
+    assert d["certificate"] == {"kind": "far_pair", "u": 10, "v": 14, "distance": 4}
+    d = recognize_l2(generators.cycle(4)).to_json_dict(labels)
+    assert d["certificate"] == {"kind": "hole", "cycle": [10, 11, 12, 13]}
+    plain = recognize_l3(augmented_gem4()).to_json_dict()
+    shifted = recognize_l3(augmented_gem4()).to_json_dict(labels)
+    assert shifted["solved_gems"] == [
+        {key: [x + 10 for x in val] if isinstance(val, list) else val + 10
+         for key, val in row.items()}
+        for row in plain["solved_gems"]
+    ]
+
+
+def test_certificates_hold_and_corruptions_fail(small_graph_pool, strip7):
+    seen = set()
+    for g in small_graph_pool:
+        for k, recognize in ((2, recognize_l2), (3, recognize_l3)):
+            verdict = recognize(g)
+            if verdict.certificate is not None:
+                seen.add(verdict.certificate_kind)
+                assert certificate_holds(g, k, verdict.certificate)
+    assert seen == {"hole", "p4", "far_pair", "unsolved_gem"}
+    assert certificate_holds(strip7, 2, FarPair(0, 6, 3))
+    for bad in (
+        HoleWitness((0, 1, 3, 2)),  # 1-2 is a chord
+        InducedPath((0, 1, 2, 3)),  # 0-2 is a chord
+        InducedPath((0, 1, 3)),  # induced, but only 2 edges
+        FarPair(0, 6, 2),  # wrong distance
+        FarPair(0, 6, 3),  # not beyond k=3
+        FarPair(0, 7, 3),  # 7 is not a vertex
+        GemWitness(InducedPath((0, 1, 3, 5)), 2),  # apex misses 5
+    ):
+        assert not certificate_holds(strip7, 3, bad), bad
+    solved = next(w for w in enumerate_gems(augmented_gem4(), 4))
+    assert not certificate_holds(augmented_gem4(), 3, solved)
 
 
 # --- necessary conditions ----------------------------------------------
