@@ -19,6 +19,10 @@ from typing import NamedTuple
 
 from .graph import Graph
 
+# Largest vertex count a file may declare.  Graph allocates per vertex up
+# front, so an absurd header would otherwise exhaust memory before any check.
+MAX_VERTICES = 100_000
+
 
 class FormatError(ValueError):
     """Malformed graph text."""
@@ -54,11 +58,18 @@ def _int(token: str, what: str) -> int:
         raise FormatError(f"expected an integer {what}, got {token!r}") from None
 
 
+def _vertex_count(token: str) -> int:
+    n = _int(token, "vertex count")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    return n
+
+
 def _parse_canonical(lines: list[list[str]]) -> ParsedGraph:
     header = lines[0]
     if len(header) != 2:
         raise FormatError(f"header must be 'n m', got {' '.join(header)!r}")
-    n = _int(header[0], "vertex count")
+    n = _vertex_count(header[0])
     m = _int(header[1], "edge count")
     body = lines[1:]
     if len(body) != m:
@@ -83,7 +94,7 @@ def _parse_dimacs(lines: list[list[str]]) -> ParsedGraph:
                 raise FormatError("multiple 'p' header lines")
             if len(tokens) != 4:
                 raise FormatError(f"header must be 'p edge n m', got {' '.join(tokens)!r}")
-            header = (_int(tokens[2], "vertex count"), _int(tokens[3], "edge count"))
+            header = (_vertex_count(tokens[2]), _int(tokens[3], "edge count"))
         elif tag == "e":
             if header is None:
                 raise FormatError("edge line before the 'p' header")
@@ -111,7 +122,11 @@ def parse_graph(text: str) -> ParsedGraph:
 
 
 def load_graph(path: str | Path) -> ParsedGraph:
-    return parse_graph(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not readable as text: {exc}") from None
+    return parse_graph(text)
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .bits import ids_of, iter_bits, set_of
@@ -138,17 +139,22 @@ def distance(g: Graph, u: int, v: int) -> int | None:
     return None if d < 0 else d
 
 
-def is_connected(g: Graph) -> bool:
-    reached = 1
-    frontier = 1
+def _balls(g: Graph, v: int) -> Iterator[int]:
+    """Yield the masks of the vertices within 0, 1, 2, ... steps of v; the
+    last one is the whole component of v."""
     adj = g._adj
+    ball = frontier = 1 << v
     while frontier:
+        yield ball
         nxt = 0
         for x in iter_bits(frontier):
             nxt |= adj[x]
-        frontier = nxt & ~reached
-        reached |= frontier
-    return reached == g.full_mask
+        frontier = nxt & ~ball
+        ball |= frontier
+
+
+def is_connected(g: Graph) -> bool:
+    return max(_balls(g, 0)) == g.full_mask  # balls only grow: max is the last
 
 
 def diameter(g: Graph) -> int:
@@ -230,33 +236,49 @@ def _adjacent_exactly_in_order(g: Graph, vs: tuple[int, ...], cyclic: bool) -> b
     return True
 
 
+def _induced_walk(g: Graph, start: int, prune: Callable[[list[int], int], int]) -> Iterator[list[int]]:
+    """Walk the induced paths that begin at start, depth first.
+
+    Yields the live path (a list the walk keeps mutating) once per path, in
+    lexicographic order.  After each yield it passes prune(path, cand) the
+    tip's induced extensions, the neighbors of the tip not on or next to
+    the rest of the path, if there are any, and descends into the subset
+    prune returns.  The stack is explicit: no recursion limit applies.
+    """
+    adj = g._adj
+    path: list[int] = []
+    # frames: (vertices left to try at depth d, what their extensions avoid, d)
+    stack = [(1 << start, 1 << start, 0)]
+    while stack:
+        rest, closed, d = stack.pop()
+        low = rest & -rest
+        if rest != low:
+            stack.append((rest ^ low, closed, d))
+        x = low.bit_length() - 1
+        path[d:] = [x]
+        yield path
+        cand = adj[x] & ~closed
+        if cand and (more := prune(path, cand)):
+            stack.append((more, closed | adj[x], d + 1))
+
+
 def _path_tuples(g: Graph, u: int, v: int, max_len: int) -> Iterator[tuple[int, ...]]:
     """Yield every induced u-v path with at most max_len edges.
 
-    Paths come out in lexicographic order of their vertex sequences.  The
-    walk keeps a mask of vertices adjacent to (or on) the path behind the
-    tip, which is exactly the set that would break inducedness, and prunes
-    with BFS distances to the target.
+    Paths come out in lexicographic order of their vertex sequences.  A
+    path on L vertices only grows into near[max_len - L], the vertices
+    within max_len - L steps of v, so that it can still end at v in time.
     """
-    adj = g._adj
-    dist = bfs_distances(g, v)
-    if dist[u] < 0 or dist[u] > max_len:
-        return
-    path = [u]
+    max_len = min(max_len, g.n - 1)
+    near = list(islice(_balls(g, v), max_len))
+    near += [near[-1]] * (max_len - len(near))
 
-    def walk(last: int, blocked: int) -> Iterator[tuple[int, ...]]:
-        edges_after_step = len(path)
-        cand = adj[last] & ~blocked
-        for x in iter_bits(cand):
-            if x == v:
-                if edges_after_step <= max_len:
-                    yield (*path, v)
-            elif edges_after_step + dist[x] <= max_len:
-                path.append(x)
-                yield from walk(x, blocked | adj[last] | (1 << last))
-                path.pop()
+    def prune(path: list[int], cand: int) -> int:
+        return 0 if path[-1] == v else cand & near[max_len - len(path)]
 
-    yield from walk(u, 1 << u)
+    for path in _induced_walk(g, u, prune):
+        if path[-1] == v:
+            yield tuple(path)
 
 
 def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[InducedPath]:
@@ -282,27 +304,14 @@ def contains_induced_path(g: Graph, m: int) -> InducedPath | None:
     """
     if m < 1:
         raise GraphError(f"vertex count of a path must be positive, got {m}")
-    if m == 1:
-        return InducedPath((0,))
-    adj = g._adj
-    path: list[int] = []
 
-    def walk(last: int, blocked: int) -> tuple[int, ...] | None:
-        if len(path) == m:
-            return tuple(path)
-        for x in iter_bits(adj[last] & ~blocked):
-            path.append(x)
-            found = walk(x, blocked | adj[last] | (1 << last))
-            if found is not None:
-                return found
-            path.pop()
-        return None
+    def prune(path: list[int], cand: int) -> int:
+        return cand if len(path) < m else 0
 
     for s in range(g.n):
-        path = [s]
-        found = walk(s, 1 << s)
-        if found is not None:
-            return InducedPath(found)
+        for path in _induced_walk(g, s, prune):
+            if len(path) == m:
+                return InducedPath(tuple(path))
     return None
 
 

@@ -25,6 +25,7 @@ from .graph import (
     GraphError,
     HoleWitness,
     InducedPath,
+    _induced_walk,
     bfs_distances,
     contains_induced_path,
     distance,
@@ -147,45 +148,37 @@ class RecognitionVerdict:
         return out
 
 
-def _far_pair(g: Graph, k: int) -> FarPair | None:
-    """Lexicographically first pair at distance above k, or None."""
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            if dist[v] > k:
-                return FarPair(u, v, dist[v])
-    return None
-
-
 def enumerate_gems(g: Graph, min_n: int = 3) -> Iterator[GemWitness]:
     """Stream every induced n-gem with n >= min_n.
 
     Bases are walked depth-first in lexicographic order while carrying the
-    intersection of the path vertices' neighborhoods, which is both the
-    apex candidate set and a pruning test (once empty, no extension can be
-    a gem base).  Each gem appears once: bases are reported in the
+    intersection of the path vertices' neighborhoods, the apex candidates.
+    The walk only steps to vertices adjacent to one of them, since any other
+    step leaves no apex.  Each gem appears once: bases are reported in the
     orientation with the smaller first endpoint, apexes in ascending order.
     """
     if min_n < 3:
         raise GraphError(f"gems need a base of at least 3 edges, got min_n={min_n}")
     adj = g._adj
-    path: list[int] = []
+    common = [-1] * (g.n + 1)  # common[i]: the vertices adjacent to all of path[:i]
 
-    def walk(last: int, blocked: int, common: int) -> Iterator[GemWitness]:
-        if len(path) > min_n and path[0] < last:
-            base = InducedPath(tuple(path))
-            for apex in iter_bits(common):
-                yield GemWitness(base, apex)
-        for x in iter_bits(adj[last] & ~blocked):
-            nc = common & adj[x]
-            if nc:
-                path.append(x)
-                yield from walk(x, blocked | adj[last] | (1 << last), nc)
-                path.pop()
+    def prune(path: list[int], cand: int) -> int:
+        d = len(path)
+        c = common[d] = common[d - 1] & adj[path[-1]]
+        keep = cand
+        while cand:
+            low = cand & -cand
+            if not c & adj[low.bit_length() - 1]:
+                keep ^= low
+            cand ^= low
+        return keep
 
     for s in range(g.n):
-        path = [s]
-        yield from walk(s, 1 << s, adj[s])
+        for path in _induced_walk(g, s, prune):
+            if len(path) > min_n and s < path[-1]:
+                base = InducedPath(tuple(path))
+                for apex in iter_bits(common[len(path) - 1] & adj[path[-1]]):
+                    yield GemWitness(base, apex)
 
 
 def is_gem_solved(g: Graph, witness: GemWitness) -> tuple[bool, InducedPath | None]:
@@ -224,13 +217,9 @@ def recognize_l3(g: Graph) -> RecognitionVerdict:
     Conditions are checked in that order and the first failure is returned,
     so certificates are deterministic.
     """
-    _require_connected(g)
-    ch = is_chordal(g)
-    if not ch.chordal:
-        return RecognitionVerdict(False, ch.hole)
-    far = _far_pair(g, 3)
-    if far is not None:
-        return RecognitionVerdict(False, far)
+    verdict = necessary_conditions(g, 3)
+    if not verdict.accepted:
+        return verdict
     solved: list[tuple[GemWitness, InducedPath]] = []
     for w in enumerate_gems(g, 4):
         ok, p = is_gem_solved(g, w)
@@ -252,7 +241,9 @@ def necessary_conditions(g: Graph, k: int) -> RecognitionVerdict:
     ch = is_chordal(g)
     if not ch.chordal:
         return RecognitionVerdict(False, ch.hole)
-    far = _far_pair(g, k)
-    if far is not None:
-        return RecognitionVerdict(False, far)
+    for u in range(g.n):  # the lexicographically first pair beyond k
+        dist = bfs_distances(g, u)
+        for v in range(u + 1, g.n):
+            if dist[v] > k:
+                return RecognitionVerdict(False, FarPair(u, v, dist[v]))
     return RecognitionVerdict(True)

@@ -11,6 +11,7 @@ from lkconvex import (
     load_graph,
     parse_graph,
 )
+from lkconvex.formats import MAX_VERTICES
 
 CANONICAL = """\
 # a comment
@@ -75,6 +76,9 @@ def test_malformed_canonical():
         parse_graph("3 1\n0 3\n")  # endpoint out of range
     with pytest.raises(GraphError):
         parse_graph("3 1\n1 1\n")  # self-loop
+    with pytest.raises(FormatError, match="exceeds the limit"):
+        parse_graph(f"{MAX_VERTICES + 1} 0\n")
+    assert parse_graph(f"{MAX_VERTICES} 0\n").graph.n == MAX_VERTICES
 
 
 def test_malformed_dimacs():
@@ -88,6 +92,8 @@ def test_malformed_dimacs():
         parse_graph("p edge 3 2\ne 1 2\n")  # count mismatch
     with pytest.raises(FormatError):
         parse_graph("p edge 3 1\nq 1 2\n")
+    with pytest.raises(FormatError, match="exceeds the limit"):
+        parse_graph("p edge 100000000000 0\n")  # refused before allocating
 
 
 def test_load_graph(tmp_path, strip7):
