@@ -71,10 +71,10 @@ def test_deep_cli(capsys, tmp_path):
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 @pytest.mark.parametrize("content", [
-    b"\xff\xfe\x00bad",  # not decodable as text
+    b"\xff\xfe\x00bad",
     f"{MAX_VERTICES + 1} 0\n".encode(),
     b"c too many vertices\np edge 100000000000 0\n",
-])
+], ids=["undecodable", "canonical-oversize", "dimacs-oversize"])
 def test_unreadable_or_oversize_file_exits_2(capsys, tmp_path, content, flags):
     f = tmp_path / "g.txt"
     f.write_bytes(content)
