@@ -11,7 +11,6 @@ from .chordal import ChordalityResult, is_chordal, is_elimination_ordering, lex_
 from .convexity import (
     DEFAULT_ENUMERATION_CAP,
     HullTrace,
-    IntervalCache,
     NotConvexError,
     SizeCapError,
     enumerate_convex_sets,
@@ -79,7 +78,6 @@ __all__ = [
     "HullTrace",
     "InducedPath",
     "InducedSubgraph",
-    "IntervalCache",
     "MkmCheck",
     "MkmViolation",
     "NotConvexError",

@@ -13,6 +13,7 @@ is an internal error, not a verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -246,6 +247,8 @@ def text_oracle(f: dict) -> list[str]:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.random < 0:
+        raise FormatError(f"--random must be a count of at least 0, got {args.random}")
     if args.exhaustive_n is None and not args.random:
         raise FormatError("nothing to do: pass --exhaustive-n and/or --random")
     if args.random and not 2 <= args.size <= MAX_SCAN_N:
@@ -365,7 +368,10 @@ def text_demo_non_hereditary(f: dict) -> list[str]:
     return lines
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    to main; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lkconvex",
         description="Convexity over short induced paths: intervals, hulls, geometries, recognizers.",

@@ -6,15 +6,14 @@ when I[u,v] is inside S for every pair u, v in S, and the hull of S is the
 least convex superset, obtained by iterating the interval operator until it
 stops growing.  A vertex x of a convex S is an extreme point when S\\{x} is
 still convex; for k >= 2 that happens exactly when x is simplicial in the
-subgraph induced by S, and extreme_points leans on that equivalence (under
-assertions it also replays the definition and cross-checks the two answers).
+subgraph induced by S, and extreme_points answers by that test.
 
-Intervals depend only on (graph, k, pair), so an IntervalCache memoizes the
-pair masks; hulls and convexity tests run on top of one cache.  A cache is
-meant to be used from a single thread.  The convex-set enumeration, shared
-with the geometry oracle, is a subset scan over a span table instead: each
-subset's union of pair intervals is read off two smaller subsets and one
-pair, so no subset re-tests its pairs.
+Every operator computes each pair interval it needs once.  A hull step
+only unions the pairs that meet the vertices the previous step added, and
+the iteration stops early at V, which is convex.  The convex-set
+enumeration, shared with the geometry oracle, is a subset scan over a span
+table: each subset's union of pair intervals is read off two smaller
+subsets and one pair, so no subset re-tests its pairs.
 
 Values of k above n-1 are indistinguishable from k = n-1 (no induced path is
 longer), so k is clamped there.
@@ -61,57 +60,45 @@ def effective_k(g: Graph, k: int) -> int:
     return min(k, g.n - 1) if g.n > 1 else 1
 
 
-class IntervalCache:
-    """Pair-interval bitmasks for one (graph, k), memoized on demand."""
+def _step(g: Graph, k: int, cur: int, new: int) -> int:
+    """cur plus I[u,v] over the pairs u < v of cur that meet new (new inside
+    cur).  In a hull step new is what the last step added: the intervals of
+    the other pairs, those of the previous iterate, are already in cur."""
+    out = cur
+    old = list(iter_bits(cur & ~new))
+    vs = list(iter_bits(new))
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            out |= _interval_mask(g, k, u, v)
+        for v in old:
+            out |= _interval_mask(g, k, min(u, v), max(u, v))
+    return out
 
-    __slots__ = ("g", "k", "_pairs")
 
-    def __init__(self, g: Graph, k: int):
-        self.g = g
-        self.k = effective_k(g, k)
-        self._pairs: dict[int, int] = {}
+def _first_violation(g: Graph, k: int, smask: int) -> tuple[tuple[int, int], int] | None:
+    """The first pair (u < v, lexicographic) whose interval leaves smask,
+    with the lowest escaped vertex, or None when smask is convex."""
+    vs = list(iter_bits(smask))
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            esc = _interval_mask(g, k, u, v) & ~smask
+            if esc:
+                return (u, v), (esc & -esc).bit_length() - 1
+    return None
 
-    def pair_mask(self, u: int, v: int) -> int:
-        if u == v:
-            return 1 << u
-        if u > v:
-            u, v = v, u
-        key = u * self.g.n + v
-        m = self._pairs.get(key)
-        if m is None:
-            m = _interval_mask(self.g, self.k, u, v)
-            self._pairs[key] = m
-        return m
 
-    def close_once(self, smask: int) -> int:
-        """Union of pair intervals over smask (one interval-operator step)."""
-        out = smask
-        vs = list(iter_bits(smask))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                out |= self.pair_mask(u, v)
-        return out
-
-    def violation(self, smask: int) -> tuple[int, int, int] | None:
-        """First (u, v, escaped) with the pair interval leaving smask, or None."""
-        vs = list(iter_bits(smask))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                esc = self.pair_mask(u, v) & ~smask
-                if esc:
-                    return u, v, (esc & -esc).bit_length() - 1
-        return None
-
-    def hull_masks(self, smask: int) -> list[int]:
-        """Iterates of the interval operator, last one the fixed point."""
-        out = [smask]
-        cur = smask
-        while True:
-            nxt = self.close_once(cur)
-            if nxt == cur:
-                return out
-            out.append(nxt)
-            cur = nxt
+def _hull_masks(g: Graph, k: int, smask: int) -> list[int]:
+    """Iterates of the interval operator up to its fixed point, or up to V."""
+    out = [smask]
+    new = cur = smask
+    while cur != g.full_mask:
+        nxt = _step(g, k, cur, new)
+        if nxt == cur:
+            break
+        out.append(nxt)
+        new = nxt & ~cur
+        cur = nxt
+    return out
 
 
 def _interval_mask(g: Graph, k: int, u: int, v: int) -> int:
@@ -136,8 +123,8 @@ class HullTrace:
     """The hull of a set together with the interval-operator iterates.
 
     iterates[0] is the input and iterates[-1] the hull; steps counts the
-    applications needed to reach the fixed point (the final equality check
-    against one more application is how the fixed point is certified).
+    applications needed to reach the fixed point (certified by one more
+    application adding nothing, or by the hull being V, which is convex).
     """
 
     iterates: tuple[frozenset[int], ...]
@@ -163,7 +150,10 @@ def interval(g: Graph, k: int, u: int, v: int) -> frozenset[int]:
     """I[u,v]: u, v, and the vertices on induced u-v paths of length <= k."""
     g.check_vertex(u)
     g.check_vertex(v)
-    return set_of(IntervalCache(g, k).pair_mask(u, v))
+    k = effective_k(g, k)
+    if u == v:
+        return frozenset((u,))
+    return set_of(_interval_mask(g, k, min(u, v), max(u, v)))
 
 
 def interval_of_set(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]:
@@ -171,7 +161,7 @@ def interval_of_set(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]
     smask = _set_mask(g, vertices)
     if smask == 0:
         raise GraphError("interval of the empty set is not defined")
-    return set_of(IntervalCache(g, k).close_once(smask))
+    return set_of(_step(g, effective_k(g, k), smask, smask))
 
 
 def hull(g: Graph, k: int, vertices: Iterable[int]) -> HullTrace:
@@ -179,14 +169,14 @@ def hull(g: Graph, k: int, vertices: Iterable[int]) -> HullTrace:
     smask = _set_mask(g, vertices)
     if smask == 0:
         raise GraphError("hull of the empty set is not defined")
-    masks = IntervalCache(g, k).hull_masks(smask)
+    masks = _hull_masks(g, effective_k(g, k), smask)
     return HullTrace(tuple(set_of(m) for m in masks))
 
 
 def is_convex(g: Graph, k: int, vertices: Iterable[int]) -> bool:
     """Whether every pair interval of the set stays inside it."""
     smask = _set_mask(g, vertices)
-    return IntervalCache(g, k).violation(smask) is None
+    return _first_violation(g, effective_k(g, k), smask) is None
 
 
 def extreme_points(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]:
@@ -196,22 +186,10 @@ def extreme_points(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]:
     vertex) when the input set is not convex.
     """
     smask = _set_mask(g, vertices)
-    cache = IntervalCache(g, k)
-    bad = cache.violation(smask)
+    bad = _first_violation(g, effective_k(g, k), smask)
     if bad is not None:
-        u, v, esc = bad
-        raise NotConvexError((u, v), esc)
-    ext = simplicial_mask(g, smask)
-    if __debug__:
-        definitional = 0
-        for x in iter_bits(smask):
-            if cache.violation(smask & ~(1 << x)) is None:
-                definitional |= 1 << x
-        assert definitional == ext, (
-            "simplicial characterization disagrees with the removal "
-            f"definition on {sorted(set_of(smask))}"
-        )
-    return set_of(ext)
+        raise NotConvexError(*bad)
+    return set_of(simplicial_mask(g, smask))
 
 
 def span_table(g: Graph, max_n: int, what: str) -> list[int]:
@@ -245,7 +223,7 @@ def scan_convex(g: Graph, k: int, span: list[int]) -> Iterator[int]:
     subsets among them.  span must come from span_table.
     """
     n = g.n
-    cache = IntervalCache(g, k)
+    k = effective_k(g, k)
     bits = [1 << v for v in range(n)]
     for b in bits:
         span[b] = b
@@ -254,7 +232,7 @@ def scan_convex(g: Graph, k: int, span: list[int]) -> Iterator[int]:
     for u in range(n):
         for v in range(u + 1, n):
             s = bits[u] | bits[v]
-            span[s] = x = cache.pair_mask(u, v)
+            span[s] = x = _interval_mask(g, k, u, v)
             if x == s:
                 yield s
             if v < n - 1:

@@ -15,6 +15,10 @@ off the table by their definition (S - x convex), and the replay iterates
 span from them; every set read lies inside S, so it is already filled.
 The table has 2^n entries, so no cap above MAX_SCAN_N (22) vertices is
 accepted.
+
+mkm_check_set checks one set from pair intervals instead, with the
+simplicial vertices of G[S] as its extremes; sharing only the interval walk
+with the scan, it re-checks the oracle's certificates.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from typing import NamedTuple
 from .bits import set_of
 from .convexity import (
     DEFAULT_ENUMERATION_CAP,
-    IntervalCache,
     NotConvexError,
+    _first_violation,
+    _hull_masks,
     _set_mask,
+    effective_k,
     scan_convex,
     span_table,
 )
@@ -95,13 +101,12 @@ def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmCheck:
     Raises NotConvexError when the set is not convex in the first place.
     """
     smask = _set_mask(g, vertices)
-    cache = IntervalCache(g, k)
-    bad = cache.violation(smask)
+    k = effective_k(g, k)
+    bad = _first_violation(g, k, smask)
     if bad is not None:
-        u, v, esc = bad
-        raise NotConvexError((u, v), esc)
+        raise NotConvexError(*bad)
     ext = simplicial_mask(g, smask)
-    hm = cache.hull_masks(ext)[-1]
+    hm = _hull_masks(g, k, ext)[-1]
     return MkmCheck(hm == smask, set_of(ext), set_of(hm))
 
 

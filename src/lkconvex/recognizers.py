@@ -103,9 +103,10 @@ def gem_json(w: GemWitness, path: InducedPath | None, labels: Sequence[int] | No
 
 def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> bool:
     """Re-check a certificate against the graph it came from: an induced
-    cycle, an induced 3-edge path, a pair beyond k, an unsolved gem, or an
-    oracle violation.  The violation is replayed by mkm_check_set, whose
-    interval-cache path shares no code with the span-table scan."""
+    cycle, an induced 3-edge path (k = 2 only), a pair beyond k, an unsolved
+    gem (k = 3 only), or an oracle violation.  The violation is replayed by
+    mkm_check_set, which shares only the interval walk with the span-table
+    scan."""
     match cert:
         case MkmViolation(convex_set, ext, hull):
             try:
@@ -115,11 +116,11 @@ def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> boo
         case HoleWitness():
             return cert.is_hole_in(g)
         case InducedPath():
-            return cert.is_induced_in(g) and cert.length == 3
+            return k == 2 and cert.is_induced_in(g) and cert.length == 3
         case FarPair():
             return cert.is_far_in(g, k)
         case GemWitness():
-            return cert.is_valid_in(g) and not is_gem_solved(g, cert)[0]
+            return k == 3 and cert.is_valid_in(g) and not is_gem_solved(g, cert)[0]
     return False
 
 

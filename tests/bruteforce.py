@@ -2,7 +2,7 @@
 
 Everything here works by scanning vertex subsets and checking structure
 directly, so none of the library's search machinery (DFS enumeration,
-LexBFS, interval caching) is trusted by these reference answers.
+LexBFS, incremental hull steps) is trusted by these reference answers.
 """
 
 from __future__ import annotations
@@ -86,15 +86,21 @@ def brute_is_convex(g: Graph, k: int, s) -> bool:
     )
 
 
-def brute_hull(g: Graph, k: int, s) -> frozenset[int]:
-    cur = frozenset(s)
+def brute_hull_trace(g: Graph, k: int, s) -> list[frozenset[int]]:
+    """Iterates of the interval operator from s, each step unioning the
+    intervals of all pairs, until one step adds nothing."""
+    trace = [frozenset(s)]
     while True:
-        nxt = set(cur)
-        for u, v in combinations(sorted(cur), 2):
+        nxt = set(trace[-1])
+        for u, v in combinations(sorted(trace[-1]), 2):
             nxt |= brute_interval(g, k, u, v)
-        if frozenset(nxt) == cur:
-            return cur
-        cur = frozenset(nxt)
+        if nxt == trace[-1]:
+            return trace
+        trace.append(frozenset(nxt))
+
+
+def brute_hull(g: Graph, k: int, s) -> frozenset[int]:
+    return brute_hull_trace(g, k, s)[-1]
 
 
 def brute_monophonic_convex(g: Graph, s) -> bool:

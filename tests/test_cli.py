@@ -204,6 +204,9 @@ def test_crosscheck_rejects_random_size_out_of_range(capsys):
         assert main(["crosscheck", "--k", "3", "--random", "3", "--size", size]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --size") and "Traceback" not in err
+    assert main(["crosscheck", "--k", "3", "--random", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --random") and "Traceback" not in err
 
 
 def test_generate_round_trip(capsys, tmp_path):

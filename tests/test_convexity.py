@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from bruteforce import (
-    brute_hull,
+    brute_hull_trace,
     brute_interval,
     brute_is_convex,
     brute_monophonic_convex,
@@ -128,9 +128,10 @@ def test_hull_matches_bruteforce(small_graph_pool):
     for g in small_graph_pool:
         if g.n > 7:
             continue
-        for k in (2, 3):
+        for k in sorted({2, 3, max(2, g.n - 1)}):
             for seed in subsets(range(g.n), min_size=1, max_size=2):
-                assert hull(g, k, seed).hull == brute_hull(g, k, seed)
+                trace = brute_hull_trace(g, k, seed)
+                assert list(hull(g, k, seed).iterates) == trace, (g, k, seed)
 
 
 def test_is_convex_strip(strip7):

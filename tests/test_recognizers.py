@@ -268,10 +268,15 @@ def test_certificates_hold_and_corruptions_fail(small_graph_pool, strip7):
         FarPair(0, 6, 3),  # not beyond k=3
         FarPair(0, 7, 3),  # 7 is not a vertex
         GemWitness(InducedPath((0, 1, 3, 5)), 2),  # apex misses 5
+        InducedPath((0, 1, 3, 5)),  # a real P4, but a P4 rejects only at k=2
     ):
         assert not certificate_holds(strip7, 3, bad), bad
     solved = next(w for w in enumerate_gems(augmented_gem4(), 4))
     assert not certificate_holds(augmented_gem4(), 3, solved)
+    gem4 = generators.gem(4)
+    unsolved = next(enumerate_gems(gem4, 4))
+    assert certificate_holds(gem4, 3, unsolved)
+    assert not certificate_holds(gem4, 4, unsolved)  # gems reject only at k=3
 
 
 # --- necessary conditions ----------------------------------------------

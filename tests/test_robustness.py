@@ -1,9 +1,10 @@
-"""Deep inputs and the CLI exit-code contract.
+"""Deep inputs, work bounds and the CLI exit-code contract.
 
 Induced paths longer than the interpreter's recursion limit must be walked
-like short ones, and no input may make the CLI leave the contract: exit 0,
-1 or 2, with argparse's own SystemExit(2) as the only exception allowed to
-escape main.
+like short ones, hulls and extreme points of large sets must stay within
+their time budgets, and no input may make the CLI leave the contract: exit
+0, 1 or 2, with argparse's own SystemExit(2) as the only exception allowed
+to escape main.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,8 +22,10 @@ from hypothesis import strategies as st
 from lkconvex import (
     contains_induced_path,
     enumerate_gems,
+    extreme_points,
     format_graph,
     generators,
+    hull,
     induced_paths_between,
     interval,
 )
@@ -67,6 +71,35 @@ def test_deep_cli(capsys, tmp_path):
     assert report["counts"] == {"total": 6, "solved": 0, "unsolved": 6}
     assert [(row["base"][0], row["base"][-1]) for row in report["gems"]] == [
         (0, DEEP - 2), (0, DEEP - 1), (0, DEEP), (1, DEEP - 1), (1, DEEP), (2, DEEP)]
+
+
+# --- work bounds: a hull that reaches V at once, the extremes of V ----------
+
+def test_hull_reaching_all_vertices_stops():
+    g = generators.path(400)
+    t0 = time.perf_counter()
+    trace = hull(g, 500, {0, 399})
+    elapsed = time.perf_counter() - t0
+    assert trace.steps == 1 and trace.hull == frozenset(range(400))
+    assert elapsed < 1.0, elapsed
+
+
+def test_long_cli_hull(capsys, tmp_path):
+    f = tmp_path / "path.txt"
+    f.write_text(format_graph(generators.path(1500)))
+    code, out, _ = _run(["hull", str(f), "--k", "2000", "--set", "0,1499", "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["trace"]["steps"] == 1 and report["hull"] == list(range(1500))
+
+
+def test_extremes_of_a_large_set():
+    g = generators.path(200)
+    t0 = time.perf_counter()
+    ext = extreme_points(g, 3, range(200))
+    elapsed = time.perf_counter() - t0
+    assert ext == {0, 199}
+    assert elapsed < 0.5, elapsed
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
