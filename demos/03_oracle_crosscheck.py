@@ -1,4 +1,4 @@
-"""Cross-validate the polynomial recognizers against the exhaustive oracle.
+"""Cross-validate the structural recognizers against the exhaustive oracle.
 
 The oracle enumerates every subset, keeps the convex ones, and insists each
 equals the hull of its extreme points.  It is exponential and trusted; the

@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
         p.add_argument("--verbose", "-v", action="store_true", help="extra notes on stderr")
 
-    p = sub.add_parser("recognize", help="polynomial recognizer for k=2 or k=3")
+    p = sub.add_parser("recognize", help="structural recognizer for k=2 or k=3")
     common(p, k_choices=[2, 3])
     p.set_defaults(func=cmd_recognize, text=text_recognize)
 

@@ -6,7 +6,7 @@ ones, and replays that reconstruction; the first failure (subsets scanned in
 increasing size, lexicographic within a size) is returned as a certificate
 holding the convex set, its extreme points, and the hull those extremes
 actually generate.  Exponential by design: it is the ground truth the
-polynomial recognizers are validated against, so it stays brute force.
+structural recognizers are validated against, so it stays brute force.
 
 The scan (convexity.scan_convex) fills a span table: span[S] is the union
 of the pair intervals of S, built from two smaller subsets and one pair, and

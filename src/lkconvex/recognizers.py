@@ -1,13 +1,16 @@
-"""Polynomial recognizers for the k=2 and k=3 convex-geometry classes.
+"""Recognizers for the k=2 and k=3 convex-geometry classes.
 
 For k=2 a connected graph is a convex geometry exactly when it is chordal
-and has no induced path on four vertices.  For k=3 the characterization is:
-chordal, diameter at most 3, and every induced n-gem with n >= 4 is solved.
-An n-gem is an induced path x_0..x_n plus one apex adjacent to every path
-vertex, and it is solved when the host graph holds an induced path of length
-exactly three from x_0 to x_n that avoids the apex.  Rejections carry a
-machine-checkable certificate: a hole, a four-vertex induced path, a vertex
-pair beyond the distance bound, or an unsolved gem.
+and has no induced path on four vertices, which takes polynomial time to
+test.  For k=3 the characterization is: chordal, diameter at most 3, and
+every induced n-gem with n >= 4 is solved.  An n-gem is an induced path
+x_0..x_n plus one apex adjacent to every path vertex, and it is solved when
+the host graph holds an induced path of length exactly three from x_0 to
+x_n that avoids the apex.  Rejections carry a machine-checkable
+certificate: a hole, a four-vertex induced path, a vertex pair beyond the
+distance bound, or an unsolved gem.  The k=3 recognizer enumerates every
+induced gem, and a graph can hold exponentially many of them (gem(1200)
+has about 717k), so its worst case is exponential.
 
 The general necessary-conditions filter (chordal plus diameter <= k) is also
 exposed; it is sound for rejection at every k but only decides membership
@@ -29,7 +32,6 @@ from .graph import (
     bfs_distances,
     contains_induced_path,
     distance,
-    induced_paths_between,
     is_connected,
     labeller,
 )
@@ -157,9 +159,13 @@ def enumerate_gems(g: Graph, min_n: int = 3) -> Iterator[GemWitness]:
     The walk only steps to vertices adjacent to one of them, since any other
     step leaves no apex.  Each gem appears once: bases are reported in the
     orientation with the smaller first endpoint, apexes in ascending order.
+    A graph whose edges all have nested closed neighbourhoods has no
+    induced P4, so no gem, and streams nothing without a walk.
     """
     if min_n < 3:
         raise GraphError(f"gems need a base of at least 3 edges, got min_n={min_n}")
+    if _nested_neighbourhoods(g):  # no induced P4, so no base
+        return
     adj = g._adj
     common = [-1] * (g.n + 1)  # common[i]: the vertices adjacent to all of path[:i]
 
@@ -184,15 +190,39 @@ def enumerate_gems(g: Graph, min_n: int = 3) -> Iterator[GemWitness]:
 
 def is_gem_solved(g: Graph, witness: GemWitness) -> tuple[bool, InducedPath | None]:
     """Look for an induced path of length exactly 3 joining the base ends
-    of the gem while avoiding its apex; returns it when found."""
+    of the gem while avoiding its apex; returns the lexicographically first.
+
+    Such a path is x0-b-c-xn with b in N(x0) minus N[xn] and c in N(b) and
+    N(xn) minus N[x0].  The apex sees both ends, so it is never b or c.
+    """
     if not witness.is_valid_in(g):
         raise GraphError(f"not an induced gem of this graph: {witness}")
     x0 = witness.base.vertices[0]
     xn = witness.base.vertices[-1]
-    for p in induced_paths_between(g, x0, xn, 3):
-        if p.length == 3 and witness.apex not in p.vertices:
-            return True, p
+    adj = g._adj
+    last = adj[xn] & ~adj[x0]  # N(xn) minus N[x0]: the base ends are nonadjacent
+    for b in iter_bits(adj[x0] & ~adj[xn]):
+        if c := adj[b] & last:
+            return True, InducedPath((x0, b, (c & -c).bit_length() - 1, xn))
     return False, None
+
+
+def _nested_neighbourhoods(g: Graph) -> bool:
+    """Every edge uv has N[u] a subset of N[v] or N[v] a subset of N[u].
+
+    These are the graphs with no induced P4 and no induced C4 (Golumbic,
+    Trivially perfect graphs, Discrete Math. 24, 1978).  An edge uv fails
+    to nest exactly when u has a neighbour x and v a neighbour y that the
+    other end misses, and then x-u-v-y is an induced P4, or a C4 when x
+    and y are adjacent.
+    """
+    closed = [a | 1 << v for v, a in enumerate(g._adj)]
+    for u, cu in enumerate(closed):
+        for v in iter_bits(cu & -(2 << u)):  # the neighbours above u
+            both = cu | closed[v]
+            if both != cu and both != closed[v]:
+                return False
+    return True
 
 
 def _require_connected(g: Graph) -> None:
@@ -206,10 +236,10 @@ def recognize_l2(g: Graph) -> RecognitionVerdict:
     ch = is_chordal(g)
     if not ch.chordal:
         return RecognitionVerdict(False, ch.hole)
-    p4 = contains_induced_path(g, 4)
-    if p4 is not None:
-        return RecognitionVerdict(False, p4)
-    return RecognitionVerdict(True)
+    if _nested_neighbourhoods(g):  # chordal and P4-free
+        return RecognitionVerdict(True)
+    p4 = contains_induced_path(g, 4)  # chordal: the failed nesting is a P4
+    return RecognitionVerdict(p4 is None, p4)
 
 
 def recognize_l3(g: Graph) -> RecognitionVerdict:

@@ -7,7 +7,7 @@ LexBFS, incremental hull steps) is trusted by these reference answers.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from lkconvex import Graph
 
@@ -157,6 +157,18 @@ def brute_gem_count(g: Graph, min_n: int) -> int:
             if len(ends) == 2 and induces_path_between(g, base, *ends):
                 count += 1
     return count
+
+
+def brute_gem_solved(g: Graph, base, apex: int) -> tuple[int, ...] | None:
+    """The lexicographically first induced 3-edge path between the ends of
+    base that avoids apex, or None when the gem is unsolved."""
+    x0, xn = base[0], base[-1]
+    inner = sorted(set(range(g.n)) - {x0, xn, apex})
+    for b, c in permutations(inner, 2):  # in lexicographic order
+        ends = g.has_edge(x0, b) and g.has_edge(c, xn)
+        if ends and induces_path_between(g, {x0, b, c, xn}, x0, xn):
+            return (x0, b, c, xn)
+    return None
 
 
 INF = 10**9

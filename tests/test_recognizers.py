@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from bruteforce import brute_gem_count
+from bruteforce import brute_gem_count, brute_gem_solved
 from lkconvex import (
     FarPair,
     GemWitness,
@@ -10,11 +10,14 @@ from lkconvex import (
     GraphError,
     HoleWitness,
     InducedPath,
+    RecognitionVerdict,
     bfs_distances,
     certificate_holds,
+    contains_induced_path,
     enumerate_gems,
     generators,
     induced_subgraph,
+    is_chordal,
     is_gem_solved,
     necessary_conditions,
     recognize_l2,
@@ -99,6 +102,24 @@ def test_detour_solves_gem():
     assert 5 not in path.vertices
 
 
+def test_gem_solver_matches_reference(small_graph_pool):
+    # Under the generator's own ids, scanning x0-b-c-xn paths by b first or
+    # by c first finds the same path for every gem here; reversed ids tell
+    # the two orders apart.
+    chordal = []
+    for seed in range(60):
+        g = generators.random_connected_chordal(8 + seed % 7, (0.3, 0.5, 0.7, 0.9)[seed % 4], seed)
+        chordal += [g, Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])]
+    outcomes = set()
+    for g in small_graph_pool + chordal:
+        for w in enumerate_gems(g, 3):
+            want = brute_gem_solved(g, w.base.vertices, w.apex)
+            solved, path = is_gem_solved(g, w)
+            assert (solved, path) == (want is not None, None if want is None else InducedPath(want)), w
+            outcomes.add(solved)
+    assert outcomes == {True, False}
+
+
 def test_is_gem_solved_rejects_bad_witness(strip7):
     with pytest.raises(GraphError):
         is_gem_solved(strip7, GemWitness(InducedPath((0, 1, 3, 5)), 6))
@@ -111,6 +132,31 @@ def test_l2_accepts_trivially_perfect_shapes():
     for g in (generators.complete(5), generators.star(7), Graph(1)):
         verdict = recognize_l2(g)
         assert verdict.accepted and verdict.certificate is None
+
+
+def walked_l2(g: Graph) -> RecognitionVerdict:
+    """The k=2 verdict by walking for a P4 after the chordality test."""
+    ch = is_chordal(g)
+    if not ch.chordal:
+        return RecognitionVerdict(False, ch.hole)
+    p4 = contains_induced_path(g, 4)
+    return RecognitionVerdict(p4 is None, p4)
+
+
+def test_l2_and_gems_match_p4_walk(small_graph_pool):
+    pool = (
+        small_graph_pool
+        + [generators.random_trivially_perfect(60 + 9 * seed, seed) for seed in range(11)]
+        + [generators.random_connected_chordal(12, 0.6, seed) for seed in range(6)]
+    )
+    kinds = set()
+    for g in pool:
+        walked = walked_l2(g)
+        assert recognize_l2(g) == walked
+        kinds.add(walked.certificate_kind)
+        if contains_induced_path(g, 4) is None:
+            assert list(enumerate_gems(g, 3)) == []
+    assert kinds == {None, "hole", "p4"}
 
 
 def test_l2_rejects_cycle_with_hole():

@@ -1,7 +1,8 @@
 """Deep inputs, work bounds and the CLI exit-code contract.
 
 Induced paths longer than the interpreter's recursion limit must be walked
-like short ones, hulls and extreme points of large sets must stay within
+like short ones, hulls and extreme points of large sets and the k=2 test
+and gem enumeration on a large trivially perfect graph must stay within
 their time budgets, and no input may make the CLI leave the contract: exit
 0, 1 or 2, with argparse's own SystemExit(2) as the only exception allowed
 to escape main.
@@ -28,6 +29,7 @@ from lkconvex import (
     hull,
     induced_paths_between,
     interval,
+    recognize_l2,
 )
 from lkconvex.cli import main
 from lkconvex.formats import MAX_VERTICES
@@ -73,7 +75,7 @@ def test_deep_cli(capsys, tmp_path):
         (0, DEEP - 2), (0, DEEP - 1), (0, DEEP), (1, DEEP - 1), (1, DEEP), (2, DEEP)]
 
 
-# --- work bounds: a hull that reaches V at once, the extremes of V ----------
+# --- work bounds: large hulls, extremes and trivially perfect graphs -------
 
 def test_hull_reaching_all_vertices_stops():
     g = generators.path(400)
@@ -99,6 +101,21 @@ def test_extremes_of_a_large_set():
     ext = extreme_points(g, 3, range(200))
     elapsed = time.perf_counter() - t0
     assert ext == {0, 199}
+    assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_trivially_perfect_graph(seed):
+    g = generators.random_trivially_perfect(1000, seed)
+    t0 = time.perf_counter()
+    verdict = recognize_l2(g)
+    elapsed = time.perf_counter() - t0
+    assert verdict.accepted
+    assert elapsed < 0.5, elapsed
+    t0 = time.perf_counter()
+    gems = list(enumerate_gems(g, 3))
+    elapsed = time.perf_counter() - t0
+    assert gems == []
     assert elapsed < 0.5, elapsed
 
 
