@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .bits import iter_bits
+from .bits import ids_of, iter_bits
 from .graph import Graph, HoleWitness
 
 
@@ -26,23 +26,21 @@ def lex_bfs(g: Graph) -> tuple[int, ...]:
     """Lexicographic BFS visit order.
 
     The unvisited vertex with the largest label is taken next, ties broken
-    by smallest id, so the order is deterministic.
+    by smallest id, so the order is deterministic.  The unvisited vertices
+    form an ordered partition of masks, largest label first, and each visit
+    splits every class into its neighbours, then the rest (Rose, Tarjan &
+    Lueker, SIAM J. Comput. 5, 1976).
     """
-    n = g.n
-    labels: list[list[int]] = [[] for _ in range(n)]
-    visited = 0
+    adj = g._adj
+    classes = [g.full_mask]
     order: list[int] = []
-    for step in range(n):
-        best = -1
-        for x in range(n):
-            if not visited >> x & 1 and (best < 0 or labels[x] > labels[best]):
-                best = x
-        visited |= 1 << best
-        order.append(best)
-        stamp = n - step
-        for y in g._nbrs[best]:
-            if not visited >> y & 1:
-                labels[y].append(stamp)
+    while classes:
+        low = classes[0] & -classes[0]
+        classes[0] ^= low
+        x = low.bit_length() - 1
+        order.append(x)
+        nb = adj[x]
+        classes = [part for c in classes for part in (c & nb, c & ~nb) if part]
     return tuple(order)
 
 
@@ -64,6 +62,7 @@ def is_elimination_ordering(g: Graph, order: tuple[int, ...] | list[int]) -> boo
 def _shortest_path_within(g: Graph, u: int, w: int, allowed: int) -> tuple[int, ...] | None:
     """Shortest u-w path using only allowed vertices, or None."""
     parent = {u: -1}
+    unseen = allowed & ~(1 << u)
     queue = deque([u])
     while queue:
         x = queue.popleft()
@@ -73,10 +72,11 @@ def _shortest_path_within(g: Graph, u: int, w: int, allowed: int) -> tuple[int, 
                 out.append(x)
                 x = parent[x]
             return tuple(reversed(out))
-        for y in g._nbrs[x]:
-            if allowed >> y & 1 and y not in parent:
-                parent[y] = x
-                queue.append(y)
+        new = g._adj[x] & unseen
+        unseen ^= new
+        for y in iter_bits(new):
+            parent[y] = x
+            queue.append(y)
     return None
 
 
@@ -89,7 +89,7 @@ def find_hole(g: Graph) -> HoleWitness | None:
     """
     adj = g._adj
     for v in range(g.n):
-        nbrs = g._nbrs[v]
+        nbrs = ids_of(adj[v])
         closed = adj[v] | (1 << v)
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1:]:

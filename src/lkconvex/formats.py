@@ -23,6 +23,12 @@ from .graph import Graph
 # front, so an absurd header would otherwise exhaust memory before any check.
 MAX_VERTICES = 100_000
 
+# Largest size in bytes of a file's adjacency masks.  Each vertex's mask is as
+# long as its highest neighbor id, so a path on n vertices needs n^2/16 bytes:
+# 0.6 GB for a 1.2 MB file at MAX_VERTICES.  64 MiB admits a 32,000-vertex
+# path, 20 times the longest the tests, demos and benchmark read.
+MAX_MASK_BYTES = 1 << 26
+
 
 class FormatError(ValueError):
     """Malformed graph text."""
@@ -65,6 +71,18 @@ def _vertex_count(token: str) -> int:
     return n
 
 
+def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """Graph(n, edges), refused unbuilt if its masks would pass MAX_MASK_BYTES."""
+    top = [-1] * n  # highest neighbor id of each vertex
+    for u, v in edges:
+        if 0 <= u < n and 0 <= v < n:  # Graph names the bad edges
+            top[u], top[v] = max(top[u], v), max(top[v], u)
+    if (size := (sum(top) + n) // 8) > MAX_MASK_BYTES:
+        raise FormatError(f"graph needs about {size} bytes of adjacency masks, "
+                          f"over the limit of {MAX_MASK_BYTES}")
+    return Graph(n, edges)
+
+
 def _parse_canonical(lines: list[list[str]]) -> ParsedGraph:
     header = lines[0]
     if len(header) != 2:
@@ -79,7 +97,7 @@ def _parse_canonical(lines: list[list[str]]) -> ParsedGraph:
         if len(tokens) != 2:
             raise FormatError(f"edge line must be 'u v', got {' '.join(tokens)!r}")
         edges.append((_int(tokens[0], "endpoint"), _int(tokens[1], "endpoint")))
-    return ParsedGraph(Graph(n, edges), tuple(range(n)))
+    return ParsedGraph(_graph(n, edges), tuple(range(n)))
 
 
 def _parse_dimacs(lines: list[list[str]]) -> ParsedGraph:
@@ -108,7 +126,7 @@ def _parse_dimacs(lines: list[list[str]]) -> ParsedGraph:
     n, m = header
     if len(edges) != m:
         raise FormatError(f"header declares {m} edges but file has {len(edges)} edge lines")
-    return ParsedGraph(Graph(n, edges), tuple(range(1, n + 1)))
+    return ParsedGraph(_graph(n, edges), tuple(range(1, n + 1)))
 
 
 def parse_graph(text: str) -> ParsedGraph:

@@ -1,21 +1,20 @@
 """Simple undirected graphs and the primitives the convexity machinery needs.
 
-Vertices are the integers 0..n-1.  Neighborhoods are kept both as bitmasks
-(for set algebra) and as sorted tuples (for deterministic iteration), and a
-Graph is treated as immutable once constructed.  Everything that enumerates
+Vertices are the integers 0..n-1.  Each neighborhood is kept as one
+bitmask, read in ascending bit order wherever it is iterated, and a Graph
+is treated as immutable once constructed.  Everything that enumerates
 vertices, paths or witnesses does so in ascending id order so repeated runs
 give byte-identical output.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .bits import ids_of, iter_bits, set_of
+from .bits import ids_of, iter_bits, mask_of, set_of
 
 
 class GraphError(ValueError):
@@ -29,7 +28,7 @@ class Graph:
     rejected with a message naming the offending pair.
     """
 
-    __slots__ = ("n", "m", "_adj", "_nbrs")
+    __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 1:
@@ -48,7 +47,6 @@ class Graph:
     def _finish(self, n: int, adj: list[int]) -> None:
         self.n = n
         self._adj = tuple(adj)
-        self._nbrs = tuple(ids_of(a) for a in adj)
         self.m = sum(a.bit_count() for a in adj) // 2
 
     @classmethod
@@ -72,15 +70,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self.check_vertex(v)
-        return self._nbrs[v]
-
-    def neighbor_mask(self, v: int) -> int:
-        self.check_vertex(v)
-        return self._adj[v]
-
-    def closed_neighbor_mask(self, v: int) -> int:
-        self.check_vertex(v)
-        return self._adj[v] | (1 << v)
+        return ids_of(self._adj[v])
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
@@ -116,29 +106,6 @@ def labeller(labels: Sequence[int] | None) -> Callable[[int], int]:
     return (lambda v: v) if labels is None else labels.__getitem__
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """BFS distances from source; -1 marks unreachable vertices."""
-    g.check_vertex(source)
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        for y in g._nbrs[x]:
-            if dist[y] < 0:
-                dist[y] = d
-                queue.append(y)
-    return dist
-
-
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """Shortest-path distance, or None when v is unreachable from u."""
-    g.check_vertex(v)
-    d = bfs_distances(g, u)[v]
-    return None if d < 0 else d
-
-
 def _balls(g: Graph, v: int) -> Iterator[int]:
     """Yield the masks of the vertices within 0, 1, 2, ... steps of v; the
     last one is the whole component of v."""
@@ -153,20 +120,34 @@ def _balls(g: Graph, v: int) -> Iterator[int]:
         ball |= frontier
 
 
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """BFS distances from source; -1 marks unreachable vertices."""
+    g.check_vertex(source)
+    dist = [-1] * g.n
+    inner = 0
+    for d, ball in enumerate(_balls(g, source)):
+        for x in iter_bits(ball ^ inner):
+            dist[x] = d
+        inner = ball
+    return dist
+
+
+def distance(g: Graph, u: int, v: int) -> int | None:
+    """Shortest-path distance, or None when v is unreachable from u."""
+    g.check_vertex(v)
+    g.check_vertex(u)
+    return next((d for d, ball in enumerate(_balls(g, u)) if ball >> v & 1), None)
+
+
 def is_connected(g: Graph) -> bool:
     return max(_balls(g, 0)) == g.full_mask  # balls only grow: max is the last
 
 
 def diameter(g: Graph) -> int:
     """Largest pairwise distance; raises GraphError on disconnected input."""
-    best = 0
-    for u in range(g.n):
-        dist = bfs_distances(g, u)
-        worst = max(dist)
-        if -1 in dist:
-            raise GraphError("diameter is undefined on a disconnected graph")
-        best = max(best, worst)
-    return best
+    if not is_connected(g):
+        raise GraphError("diameter is undefined on a disconnected graph")
+    return max(sum(1 for _ in _balls(g, u)) for u in g.vertices) - 1
 
 
 def simplicial_mask(g: Graph, within: int | None = None) -> int:
@@ -225,14 +206,13 @@ class HoleWitness:
 def _adjacent_exactly_in_order(g: Graph, vs: tuple[int, ...], cyclic: bool) -> bool:
     """vs are distinct vertices of g, and a pair of them is adjacent exactly
     when it is consecutive in vs (first and last count too when cyclic)."""
-    if not vs or len(vs) != len(set(vs)) or any(not 0 <= x < g.n for x in vs):
+    if not vs or len(set(vs)) != len(vs) or min(vs) < 0 or max(vs) >= g.n:
         return False
-    r = len(vs)
-    for i in range(r):
-        for j in range(i + 1, r):
-            adjacent = bool(g._adj[vs[i]] >> vs[j] & 1)
-            if adjacent != (j == i + 1 or (cyclic and i == 0 and j == r - 1)):
-                return False
+    on = mask_of(vs)
+    ends = (vs[-1], *vs, vs[0]) if cyclic else (vs[0], *vs, vs[-1])
+    for i, x in enumerate(vs):  # ends[i], ends[i + 2]: x's neighbours in vs, or x
+        if g._adj[x] & on != (1 << ends[i] | 1 << ends[i + 2]) & ~(1 << x):
+            return False
     return True
 
 

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
-from .bits import iter_bits
+from .bits import iter_bits, mask_of
 from .graph import (
     Graph,
     GraphError,
     HoleWitness,
     InducedPath,
+    _balls,
     _induced_walk,
-    bfs_distances,
     contains_induced_path,
     distance,
     is_connected,
@@ -57,7 +58,7 @@ class GemWitness:
             return False
         if not 0 <= self.apex < g.n or self.apex in self.base.vertices:
             return False
-        return all(g._adj[self.apex] >> x & 1 for x in self.base.vertices)
+        return not mask_of(self.base.vertices) & ~g._adj[self.apex]
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,8 @@ def necessary_conditions(g: Graph, k: int) -> RecognitionVerdict:
     if not ch.chordal:
         return RecognitionVerdict(False, ch.hole)
     for u in range(g.n):  # the lexicographically first pair beyond k
-        dist = bfs_distances(g, u)
-        for v in range(u + 1, g.n):
-            if dist[v] > k:
-                return RecognitionVerdict(False, FarPair(u, v, dist[v]))
+        ball = max(islice(_balls(g, u), k + 1))  # within k steps of u: balls only grow
+        if far := g.full_mask & ~ball:  # all above u: one below would have found u
+            v = (far & -far).bit_length() - 1
+            return RecognitionVerdict(False, FarPair(u, v, distance(g, u, v)))
     return RecognitionVerdict(True)

@@ -186,3 +186,31 @@ def brute_distances(g: Graph) -> list[list[int]]:
                 if dist[i][m] + dist[m][j] < dist[i][j]:
                     dist[i][j] = dist[i][m] + dist[m][j]
     return dist
+
+
+def brute_lex_bfs(g: Graph) -> tuple[int, ...]:
+    """Lexicographic BFS by explicit labels: each visit appends a falling
+    stamp to the labels of its unvisited neighbours, and the unvisited
+    vertex with the largest label list, smallest id first, goes next."""
+    labels: list[list[int]] = [[] for _ in range(g.n)]
+    order: list[int] = []
+    for step in range(g.n):
+        best = max((x for x in range(g.n) if x not in order), key=lambda x: (labels[x], -x))
+        order.append(best)
+        for y in g.neighbors(best):
+            if y not in order:
+                labels[y].append(g.n - step)
+    return tuple(order)
+
+
+def brute_adjacent_exactly_in_order(g: Graph, vs, cyclic: bool) -> bool:
+    """vs are distinct vertices of g, and each pair of them is adjacent
+    exactly when it is consecutive in vs, checked pair by pair."""
+    if not vs or len(vs) != len(set(vs)) or any(not 0 <= x < g.n for x in vs):
+        return False
+    r = len(vs)
+    for i, j in combinations(range(r), 2):
+        consecutive = j == i + 1 or (cyclic and i == 0 and j == r - 1)
+        if g.has_edge(vs[i], vs[j]) != consecutive:
+            return False
+    return True

@@ -10,6 +10,12 @@ def strip7() -> Graph:
     return generators.triangle_strip7()
 
 
+@pytest.fixture(scope="session")
+def connected_upto6() -> list[Graph]:
+    """Every connected labelled graph with at most 6 vertices (27,476)."""
+    return [g for n in range(1, 7) for g in generators.all_connected_graphs(n)]
+
+
 @pytest.fixture
 def small_graph_pool() -> list[Graph]:
     """A deterministic mixed bag for invariant checks."""

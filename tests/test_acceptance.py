@@ -30,18 +30,6 @@ from lkconvex import (
     verify_geometry,
 )
 
-_CACHE: dict[str, list] = {}
-
-
-def connected_graphs_upto6():
-    if "upto6" not in _CACHE:
-        out = []
-        for n in range(1, 7):
-            out.extend(generators.all_connected_graphs(n))
-        _CACHE["upto6"] = out
-    return _CACHE["upto6"]
-
-
 def _report(num: int, problems: list[str], detail: str, elapsed: float) -> None:
     status = "PASS" if not problems else "FAIL"
     print(f"[criterion {num}] {status}: {detail} ({elapsed:.2f}s)")
@@ -124,11 +112,11 @@ def test_criterion_2_non_hereditary_demo():
             "recognizer and oracle concur on all three graphs", elapsed)
 
 
-def test_criterion_3_l2_equivalence_exhaustive():
+def test_criterion_3_l2_equivalence_exhaustive(connected_upto6):
     t0 = time.perf_counter()
     problems = []
     count = 0
-    for g in connected_graphs_upto6():
+    for g in connected_upto6:
         count += 1
         if recognize_l2(g).accepted != verify_geometry(g, 2).is_geometry:
             problems.append(f"mismatch on {g.edges()}")
@@ -139,11 +127,11 @@ def test_criterion_3_l2_equivalence_exhaustive():
             "graphs with up to 6 vertices, zero mismatches", elapsed)
 
 
-def test_criterion_4_l3_equivalence_exhaustive_and_random():
+def test_criterion_4_l3_equivalence_exhaustive_and_random(connected_upto6):
     t0 = time.perf_counter()
     problems = []
     count = 0
-    for g in connected_graphs_upto6():
+    for g in connected_upto6:
         count += 1
         if recognize_l3(g).accepted != verify_geometry(g, 3).is_geometry:
             problems.append(f"mismatch on {g.edges()}")
@@ -166,11 +154,11 @@ def test_criterion_4_l3_equivalence_exhaustive_and_random():
             "(exhaustive to n=6 plus 500 seeded chordal up to n=12)", elapsed)
 
 
-def test_criterion_5_monophonic_limit_is_chordality():
+def test_criterion_5_monophonic_limit_is_chordality(connected_upto6):
     t0 = time.perf_counter()
     problems = []
     count = 0
-    for g in connected_graphs_upto6():
+    for g in connected_upto6:
         count += 1
         k = max(2, g.n - 1)
         if verify_geometry(g, k).is_geometry != is_chordal(g).chordal:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from bruteforce import brute_has_hole
+from bruteforce import brute_has_hole, brute_lex_bfs
 from lkconvex import generators, is_chordal, is_elimination_ordering, lex_bfs
 
 
@@ -45,11 +45,12 @@ def test_elimination_ordering_rejects_bad_orders():
     assert not is_elimination_ordering(g, (0, 1))  # not a permutation
 
 
-def test_lex_bfs_order_properties(small_graph_pool):
-    for g in small_graph_pool:
+def test_lex_bfs_order_properties(small_graph_pool, connected_upto6):
+    for g in small_graph_pool + connected_upto6:
         order = lex_bfs(g)
         assert sorted(order) == list(range(g.n))
         assert order[0] == 0  # all-empty labels tie-break to the smallest id
+        assert order == brute_lex_bfs(g)
 
 
 def test_chordality_matches_bruteforce_exhaustively():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from itertools import permutations, product
+
 import pytest
 
 from bruteforce import (
     INF,
+    brute_adjacent_exactly_in_order,
     brute_distances,
     brute_simplicial,
     induced_path_sets,
@@ -21,6 +24,7 @@ from lkconvex import (
     is_connected,
     simplicial_vertices,
 )
+from lkconvex.graph import _adjacent_exactly_in_order
 
 
 def test_construction_basics():
@@ -165,6 +169,19 @@ def test_induced_path_validator(strip7):
     assert not InducedPath((0, 3)).is_induced_in(strip7)  # not an edge
     assert not InducedPath((0, 1, 1)).is_induced_in(strip7)
     assert not InducedPath((0, 1, 9)).is_induced_in(strip7)
+
+
+def test_induced_sequence_check_matches_pairwise_reference():
+    for n in range(1, 6):
+        # every sequence of up to 2 ids, repeats and out-of-range ones
+        # included, and every sequence of 3 or 4 distinct vertices
+        seqs = [s for r in range(3) for s in product(range(-1, n + 1), repeat=r)]
+        seqs += [s for r in (3, 4) for s in permutations(range(n), r)]
+        for g in generators.all_connected_graphs(n):
+            for s in seqs:
+                for cyclic in (False, True):
+                    want = brute_adjacent_exactly_in_order(g, s, cyclic)
+                    assert _adjacent_exactly_in_order(g, s, cyclic) == want, (g.edges(), s, cyclic)
 
 
 def test_induced_subgraph_strip(strip7):

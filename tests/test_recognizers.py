@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from bruteforce import brute_gem_count, brute_gem_solved
+from bruteforce import brute_distances, brute_gem_count, brute_gem_solved
 from lkconvex import (
     FarPair,
     GemWitness,
@@ -250,12 +250,25 @@ def test_l3_non_hereditary_on_strip(strip7):
     assert recognize_l3(sub.graph).accepted
 
 
-def test_far_pair_is_lexicographically_first():
+def test_far_pair_is_lexicographically_first(small_graph_pool, connected_upto6):
     g = generators.path(7)
     verdict = recognize_l3(g)
     c = verdict.certificate
     assert (c.u, c.v) == (0, 4)
     assert bfs_distances(g, c.u)[c.v] == c.distance == 4
+    seen = set()
+    for g in small_graph_pool + connected_upto6:
+        if not is_chordal(g).chordal:
+            continue  # the certificate is a hole at every k
+        dist = brute_distances(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        for k in (2, 3, 4):
+            verdict = necessary_conditions(g, k)
+            far = next(((u, v) for u, v in pairs if dist[u][v] > k), None)
+            want = None if far is None else FarPair(*far, dist[far[0]][far[1]])
+            assert verdict.certificate == want
+            seen.add((k, want is None))
+    assert seen == {(k, accepted) for k in (2, 3, 4) for accepted in (False, True)}
 
 
 def test_verdict_json_shapes(strip7):

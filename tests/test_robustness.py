@@ -119,12 +119,17 @@ def test_large_trivially_perfect_graph(seed):
     assert elapsed < 0.5, elapsed
 
 
+LONG_PATH = f"{MAX_VERTICES} {MAX_VERTICES - 1}\n" + "".join(
+    f"{v} {v + 1}\n" for v in range(MAX_VERTICES - 1))
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 @pytest.mark.parametrize("content", [
     b"\xff\xfe\x00bad",
     f"{MAX_VERTICES + 1} 0\n".encode(),
     b"c too many vertices\np edge 100000000000 0\n",
-], ids=["undecodable", "canonical-oversize", "dimacs-oversize"])
+    LONG_PATH.encode(),  # its masks would take about 0.6 GB
+], ids=["undecodable", "canonical-oversize", "dimacs-oversize", "path-masks-oversize"])
 def test_unreadable_or_oversize_file_exits_2(capsys, tmp_path, content, flags):
     f = tmp_path / "g.txt"
     f.write_bytes(content)
