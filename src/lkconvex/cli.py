@@ -4,10 +4,11 @@ Every subcommand reads the plain-text graph formats, honors the labels the
 file used (DIMACS input stays 1-based in reports), and exits 0 for an
 affirmative answer, 1 for a negative answer that carries a certificate, and
 2 for operational problems.  Each command returns its exit code and its
-result fields, and main renders them once: one JSON object on stdout with
---json, otherwise text built from the same fields.  Certificates are
-re-checked right before being printed; a certificate that fails its check
-is an internal error, not a verdict.
+result fields, and main renders them once: with --json, one JSON object
+with sorted keys on one line of stdout, which ``python3 -m json.tool``
+pretty-prints; otherwise text built from the same fields.  Certificates
+are re-checked right before being printed; a certificate that fails its
+check is an internal error, not a verdict.
 """
 
 from __future__ import annotations
@@ -469,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.json:
         report.update(fields, wall_time_s=round(time.perf_counter() - t0, 6))
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         print("\n".join(args.text(fields)))
     return code

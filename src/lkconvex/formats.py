@@ -13,7 +13,9 @@ can speak the caller's language; internally everything is 0-based.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,13 +50,20 @@ class ParsedGraph(NamedTuple):
             raise FormatError(f"unknown vertex label {label}") from None
 
 
-def _meaningful_lines(text: str) -> list[list[str]]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
+# Text is split into lines this many characters at a time, so that a large
+# file is never held as one list of lines.
+_CHUNK = 1 << 16
+
+
+def _meaningful_lines(text: str) -> Iterator[list[str]]:
+    """The tokens of each line that has any besides a comment, one at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)  # cut after a line break
+        for line in text[start:end].splitlines():
+            if tokens := line.split("#", 1)[0].split():
+                yield tokens
+        start = end
 
 
 def _int(token: str, what: str) -> int:
@@ -64,6 +73,13 @@ def _int(token: str, what: str) -> int:
         raise FormatError(f"expected an integer {what}, got {token!r}") from None
 
 
+def _endpoints(a: str, b: str) -> tuple[int, int]:
+    try:
+        return int(a), int(b)
+    except ValueError:
+        return _int(a, "endpoint"), _int(b, "endpoint")  # raises, naming the token
+
+
 def _vertex_count(token: str) -> int:
     n = _int(token, "vertex count")
     if n > MAX_VERTICES:
@@ -71,72 +87,106 @@ def _vertex_count(token: str) -> int:
     return n
 
 
-def _graph(n: int, edges: list[tuple[int, int]]) -> Graph:
-    """Graph(n, edges), refused unbuilt if its masks would pass MAX_MASK_BYTES."""
+def _graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Graph(n, edges), refused unbuilt if its masks would pass MAX_MASK_BYTES.
+
+    The edges are read once and held at 8 bytes each, in a flat array of
+    endpoints, up to the first one Graph rejects (an out-of-range endpoint
+    or a self-loop); that one is kept aside so that Graph still names it.
+    """
     top = [-1] * n  # highest neighbor id of each vertex
+    ends = array("i")
+    bad = None
     for u, v in edges:
-        if 0 <= u < n and 0 <= v < n:  # Graph names the bad edges
-            top[u], top[v] = max(top[u], v), max(top[v], u)
+        if 0 <= u < n and 0 <= v < n:
+            if v > top[u]:
+                top[u] = v
+            if u > top[v]:
+                top[v] = u
+            if u != v and bad is None:
+                ends.append(u)
+                ends.append(v)
+                continue
+        if bad is None:
+            bad = (u, v)
     if (size := (sum(top) + n) // 8) > MAX_MASK_BYTES:
         raise FormatError(f"graph needs about {size} bytes of adjacency masks, "
                           f"over the limit of {MAX_MASK_BYTES}")
-    return Graph(n, edges)
+    pairs = iter(ends)
+    return Graph(n, chain(zip(pairs, pairs), [bad] if bad else ()))
 
 
-def _parse_canonical(lines: list[list[str]]) -> ParsedGraph:
-    header = lines[0]
+def _canonical_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int]]:
+    read, fault = 0, None
+    for tokens in lines:
+        read += 1
+        if fault is None:  # a wrong edge count is reported before a bad line
+            try:
+                if len(tokens) != 2:
+                    raise FormatError(f"edge line must be 'u v', got {' '.join(tokens)!r}")
+                yield _endpoints(tokens[0], tokens[1])
+            except FormatError as exc:
+                fault = exc
+    if read != m:
+        raise FormatError(f"header declares {m} edges but file has {read} edge lines")
+    if fault is not None:
+        raise fault
+
+
+def _parse_canonical(header: list[str], lines: Iterator[list[str]]) -> ParsedGraph:
     if len(header) != 2:
         raise FormatError(f"header must be 'n m', got {' '.join(header)!r}")
     n = _vertex_count(header[0])
     m = _int(header[1], "edge count")
-    body = lines[1:]
-    if len(body) != m:
-        raise FormatError(f"header declares {m} edges but file has {len(body)} edge lines")
-    edges = []
-    for tokens in body:
-        if len(tokens) != 2:
-            raise FormatError(f"edge line must be 'u v', got {' '.join(tokens)!r}")
-        edges.append((_int(tokens[0], "endpoint"), _int(tokens[1], "endpoint")))
-    return ParsedGraph(_graph(n, edges), tuple(range(n)))
+    return ParsedGraph(_graph(n, _canonical_edges(lines, m)), tuple(range(n)))
 
 
-def _parse_dimacs(lines: list[list[str]]) -> ParsedGraph:
-    header = None
-    edges = []
+def _dimacs_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int]]:
+    read = 0
     for tokens in lines:
         tag = tokens[0].lower()
         if tag == "c":
             continue
         if tag == "p":
-            if header is not None:
-                raise FormatError("multiple 'p' header lines")
-            if len(tokens) != 4:
-                raise FormatError(f"header must be 'p edge n m', got {' '.join(tokens)!r}")
-            header = (_vertex_count(tokens[2]), _int(tokens[3], "edge count"))
-        elif tag == "e":
-            if header is None:
-                raise FormatError("edge line before the 'p' header")
-            if len(tokens) != 3:
-                raise FormatError(f"edge line must be 'e u v', got {' '.join(tokens)!r}")
-            edges.append((_int(tokens[1], "endpoint") - 1, _int(tokens[2], "endpoint") - 1))
-        else:
+            raise FormatError("multiple 'p' header lines")
+        if tag != "e":
             raise FormatError(f"unrecognized line tag {tokens[0]!r}")
-    if header is None:
+        if len(tokens) != 3:
+            raise FormatError(f"edge line must be 'e u v', got {' '.join(tokens)!r}")
+        read += 1
+        u, v = _endpoints(tokens[1], tokens[2])
+        yield u - 1, v - 1
+    if read != m:
+        raise FormatError(f"header declares {m} edges but file has {read} edge lines")
+
+
+def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
+    for tokens in lines:  # only comments may come before the header
+        tag = tokens[0].lower()
+        if tag == "p":
+            break
+        if tag == "e":
+            raise FormatError("edge line before the 'p' header")
+        if tag != "c":
+            raise FormatError(f"unrecognized line tag {tokens[0]!r}")
+    else:
         raise FormatError("missing 'p edge n m' header")
-    n, m = header
-    if len(edges) != m:
-        raise FormatError(f"header declares {m} edges but file has {len(edges)} edge lines")
-    return ParsedGraph(_graph(n, edges), tuple(range(1, n + 1)))
+    if len(tokens) != 4:
+        raise FormatError(f"header must be 'p edge n m', got {' '.join(tokens)!r}")
+    n = _vertex_count(tokens[2])
+    m = _int(tokens[3], "edge count")
+    return ParsedGraph(_graph(n, _dimacs_edges(lines, m)), tuple(range(1, n + 1)))
 
 
 def parse_graph(text: str) -> ParsedGraph:
     """Parse either dialect, keyed off the first meaningful line."""
     lines = _meaningful_lines(text)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise FormatError("empty graph text")
-    if lines[0][0].lower() in ("c", "p", "e"):
-        return _parse_dimacs(lines)
-    return _parse_canonical(lines)
+    if first[0].lower() in ("c", "p", "e"):
+        return _parse_dimacs(chain([first], lines))
+    return _parse_canonical(first, lines)
 
 
 def load_graph(path: str | Path) -> ParsedGraph:

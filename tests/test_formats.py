@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from lkconvex import (
@@ -72,6 +74,8 @@ def test_malformed_canonical():
         parse_graph("3 1\n0 1\n1 2\n")  # extra edge line
     with pytest.raises(FormatError):
         parse_graph("3 1\n0 x\n")
+    with pytest.raises(FormatError, match="declares 1 edges but file has 2"):
+        parse_graph("3 1\n0 x\n1 2\n")  # the count is checked before the lines
     with pytest.raises(GraphError):
         parse_graph("3 1\n0 3\n")  # endpoint out of range
     with pytest.raises(GraphError):
@@ -94,6 +98,27 @@ def test_malformed_dimacs():
         parse_graph("p edge 3 1\nq 1 2\n")
     with pytest.raises(FormatError, match="exceeds the limit"):
         parse_graph("p edge 100000000000 0\n")  # refused before allocating
+
+
+def _dimacs_text(g) -> str:
+    return f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in g.edges())
+
+
+@pytest.mark.parametrize("render", [format_graph, _dimacs_text], ids=["canonical", "dimacs"])
+def test_parsing_a_large_file_holds_little_memory(render):
+    # K300: 44,850 edge lines in about 0.3 MB of text.  Holding every line's
+    # tokens and the edge list as tuples peaked near 15 MB; the edges' flat
+    # array of endpoints takes 0.35 MB.
+    g = generators.complete(300)
+    text = render(g)
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.graph == g
+    assert peak < 4 * 2**20, peak
 
 
 def test_load_graph(tmp_path, strip7):

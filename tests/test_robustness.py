@@ -5,7 +5,8 @@ like short ones, hulls and extreme points of large sets and the k=2 test
 and gem enumeration on a large trivially perfect graph must stay within
 their time budgets, and no input may make the CLI leave the contract: exit
 0, 1 or 2, with argparse's own SystemExit(2) as the only exception allowed
-to escape main.
+to escape main, nothing on stdout with exit 2, and with --json one line on
+stdout holding the one report object.
 """
 
 from __future__ import annotations
@@ -187,11 +188,18 @@ def test_cli_exit_contract(tmp_path_factory, content, command, k, json_flag):
         argv += ["--k", k]
     if json_flag:
         argv.append("--json")
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing the arguments
             code = exc.code
             assert code == 2
     assert code in (0, 1, 2)
+    stdout = out.getvalue()
+    if code == 2:
+        assert stdout == ""
+    elif json_flag:
+        assert stdout.endswith("\n") and stdout.count("\n") == 1
+        report = json.loads(stdout)
+        assert isinstance(report, dict) and report["command"] == name
