@@ -9,7 +9,6 @@ the k=2 and k=3 geometry classes, instance generators, and a CLI.
 
 from .chordal import ChordalityResult, is_chordal, is_elimination_ordering, lex_bfs
 from .convexity import (
-    DEFAULT_ENUMERATION_CAP,
     HullTrace,
     NotConvexError,
     SizeCapError,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChordalityResult",
-    "DEFAULT_ENUMERATION_CAP",
     "FarPair",
     "FormatError",
     "GemWitness",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 import time
@@ -24,7 +23,6 @@ from pathlib import Path
 
 from . import generators
 from .convexity import (
-    DEFAULT_ENUMERATION_CAP,
     MAX_SCAN_N,
     NotConvexError,
     SizeCapError,
@@ -215,22 +213,10 @@ def text_gems(f: dict) -> list[str]:
     return lines
 
 
-def _oracle_cap(args: argparse.Namespace) -> int:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get("CONVEXITY_MAX_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FormatError(f"CONVEXITY_MAX_N must be an integer, got {env!r}") from None
-    return DEFAULT_ENUMERATION_CAP
-
-
 def cmd_oracle(args: argparse.Namespace, parsed: ParsedGraph) -> tuple[int, dict]:
     g = parsed.graph
     _note_clamp(args, g, args.k)
-    verdict = verify_geometry(g, args.k, max_n=_oracle_cap(args))
+    verdict = verify_geometry(g, args.k)
     _check(g, args.k, verdict.violation)
     return (0 if verdict.is_geometry else 1), {"k": args.k, **verdict.to_json_dict(parsed.labels)}
 
@@ -263,7 +249,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> tuple[int, dict]:
         nonlocal instances
         instances += 1
         rec = recognizer(g)
-        orc = verify_geometry(g, args.k, max_n=max(DEFAULT_ENUMERATION_CAP, g.n))
+        orc = verify_geometry(g, args.k)
         if rec.accepted != orc.is_geometry:
             dump_dir.mkdir(parents=True, exist_ok=True)
             name = dump_dir / f"mismatch-k{args.k}-{len(mismatches)}.txt"
@@ -412,11 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest gem base length to report (default 3)")
     p.set_defaults(func=cmd_gems, text=text_gems)
 
-    p = sub.add_parser("oracle", help="exhaustive convex-geometry check")
+    p = sub.add_parser("oracle", help="exhaustive convex-geometry check",
+                       description="Exhaustive convex-geometry check over all 2^n vertex "
+                                   f"subsets; graphs with more than {MAX_SCAN_N} vertices "
+                                   "are refused (exit 2).")
     common(p)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                   help=f"vertex cap for the subset scan (default {DEFAULT_ENUMERATION_CAP}, "
-                        f"at most {MAX_SCAN_N}; overrides env CONVEXITY_MAX_N)")
     p.set_defaults(func=cmd_oracle, text=text_oracle)
 
     p = sub.add_parser("crosscheck", help="recognizer vs oracle over instance ensembles")

@@ -13,7 +13,8 @@ only unions the pairs that meet the vertices the previous step added, and
 the iteration stops early at V, which is convex.  The convex-set
 enumeration, shared with the geometry oracle, is a subset scan over a span
 table: each subset's union of pair intervals is read off two smaller
-subsets and one pair, so no subset re-tests its pairs.
+subsets and one pair, so no subset re-tests its pairs.  The table has one
+entry per subset, so the scan refuses graphs above MAX_SCAN_N (22) vertices.
 
 Values of k above n-1 are indistinguishable from k = n-1 (no induced path is
 longer), so k is clamped there.
@@ -27,12 +28,10 @@ from dataclasses import dataclass
 from .bits import iter_bits, mask_of, set_of
 from .graph import Graph, GraphError, _path_tuples, labeller, simplicial_mask
 
-DEFAULT_ENUMERATION_CAP = 16
-# The subset scan keeps one span-table entry per subset, 2^n in all.  At 22
-# vertices that is about 4M entries; the complete graph K22, where every
-# subset is convex, took 25 s and peaked at 179 MB on a 2-vCPU machine with
-# Python 3.11.  Each further vertex doubles both, so no max_n lifts the scan
-# past this.
+# The one size bound of the subset scan, which keeps one span-table entry per
+# subset, 2^n in all.  At 22 vertices that is about 4M entries; the complete
+# graph K22, where every subset is convex, took 25 s and peaked at 179 MB on
+# a 2-vCPU machine with Python 3.11.  Each further vertex doubles both.
 MAX_SCAN_N = 22
 
 
@@ -50,7 +49,7 @@ class NotConvexError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """Exhaustive enumeration refused because the graph exceeds the cap."""
+    """Exhaustive enumeration refused: the graph has more than MAX_SCAN_N vertices."""
 
 
 def effective_k(g: Graph, k: int) -> int:
@@ -192,16 +191,12 @@ def extreme_points(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]:
     return set_of(simplicial_mask(g, smask))
 
 
-def span_table(g: Graph, max_n: int, what: str) -> list[int]:
-    """A zeroed 2^n-entry span table for scan_convex, after the size checks.
+def span_table(g: Graph, what: str) -> list[int]:
+    """A zeroed 2^n-entry span table for scan_convex, after the size check.
 
-    Raises SizeCapError when g has more than max_n or MAX_SCAN_N vertices;
-    what names the refused operation in the message.
+    Raises SizeCapError, before allocating, when g has more than MAX_SCAN_N
+    vertices; what names the refused operation in the message.
     """
-    if g.n > max_n:
-        raise SizeCapError(
-            f"refusing to {what} subsets of {g.n} vertices (cap {max_n})"
-        )
     if g.n > MAX_SCAN_N:
         raise SizeCapError(
             f"refusing to {what} subsets of {g.n} vertices: the subset scan "
@@ -255,13 +250,11 @@ def scan_convex(g: Graph, k: int, span: list[int]) -> Iterator[int]:
         level = nxt
 
 
-def enumerate_convex_sets(
-    g: Graph, k: int, max_n: int = DEFAULT_ENUMERATION_CAP
-) -> list[frozenset[int]]:
+def enumerate_convex_sets(g: Graph, k: int) -> list[frozenset[int]]:
     """All convex sets, in increasing size and lexicographic order within a size.
 
-    The scan is exhaustive over the 2^n subsets, so graphs larger than
-    max_n (or MAX_SCAN_N) vertices are refused.
+    The scan is exhaustive over the 2^n subsets, so graphs with more than
+    MAX_SCAN_N (22) vertices are refused with SizeCapError.
     """
-    span = span_table(g, max_n, "enumerate")
+    span = span_table(g, "enumerate")
     return [frozenset()] + [set_of(m) for m in scan_convex(g, k, span)]

@@ -13,12 +13,12 @@ of the pair intervals of S, built from two smaller subsets and one pair, and
 S is convex when span[S] == S.  A convex S then reads its extreme points
 off the table by their definition (S - x convex), and the replay iterates
 span from them; every set read lies inside S, so it is already filled.
-The table has 2^n entries, so no cap above MAX_SCAN_N (22) vertices is
-accepted.
+The table has 2^n entries, so graphs above convexity.MAX_SCAN_N (22)
+vertices are refused.
 
-mkm_check_set checks one set from pair intervals instead, with the
-simplicial vertices of G[S] as its extremes; sharing only the interval walk
-with the scan, it re-checks the oracle's certificates.
+mkm_check_set checks one set with the public operators instead, taking
+extreme_points for its extremes and the hull they generate; sharing only
+the interval walk with the scan, it re-checks the oracle's certificates.
 """
 
 from __future__ import annotations
@@ -28,17 +28,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bits import set_of
-from .convexity import (
-    DEFAULT_ENUMERATION_CAP,
-    NotConvexError,
-    _first_violation,
-    _hull_masks,
-    _set_mask,
-    effective_k,
-    scan_convex,
-    span_table,
-)
-from .graph import Graph, GraphError, is_connected, labeller, simplicial_mask
+from .convexity import extreme_points, hull, scan_convex, span_table
+from .graph import Graph, GraphError, is_connected, labeller
 
 
 @dataclass(frozen=True)
@@ -99,26 +90,22 @@ def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmCheck:
     """Does one convex set equal the hull of its extreme points?
 
     Raises NotConvexError when the set is not convex in the first place.
+    A set without extreme points (V of a cycle, say) generates the empty
+    hull, which hull itself does not accept.
     """
-    smask = _set_mask(g, vertices)
-    k = effective_k(g, k)
-    bad = _first_violation(g, k, smask)
-    if bad is not None:
-        raise NotConvexError(*bad)
-    ext = simplicial_mask(g, smask)
-    hm = _hull_masks(g, k, ext)[-1]
-    return MkmCheck(hm == smask, set_of(ext), set_of(hm))
+    vs = tuple(vertices)
+    ext = extreme_points(g, k, vs)
+    hm = hull(g, k, ext).hull if ext else ext
+    return MkmCheck(hm == frozenset(vs), ext, hm)
 
 
-def verify_geometry(
-    g: Graph, k: int, max_n: int = DEFAULT_ENUMERATION_CAP
-) -> GeometryVerdict:
+def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     """Check every convex set against its extreme-point reconstruction.
 
-    Refuses graphs above max_n (or MAX_SCAN_N) vertices, since the subset
-    scan is 2^n, and disconnected graphs.
+    Refuses graphs above MAX_SCAN_N (22) vertices with SizeCapError, since
+    the subset scan is 2^n, and disconnected graphs with GraphError.
     """
-    span = span_table(g, max_n, "scan")
+    span = span_table(g, "scan")
     if not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
     for smask in scan_convex(g, k, span):

@@ -108,6 +108,31 @@ def brute_monophonic_convex(g: Graph, s) -> bool:
     return brute_is_convex(g, g.n, s)
 
 
+def brute_convex_sets(g: Graph, k: int) -> set[frozenset[int]]:
+    """Every convex set, the empty set included, tested against the pair
+    intervals of brute_interval."""
+    ivs = {p: brute_interval(g, k, *p) for p in combinations(range(g.n), 2)}
+    out = set()
+    for s in subsets(range(g.n)):
+        fs = frozenset(s)
+        if all(ivs[p] <= fs for p in combinations(s, 2)):
+            out.add(fs)
+    return out
+
+
+def brute_one_point_geometry(g: Graph, k: int) -> bool:
+    """Convex geometry by one-point extensions (Edelman & Jamison, Geom.
+    Dedicata 1985): every convex set other than V gains some vertex and
+    stays convex.  Uses neither extreme points nor hulls."""
+    convex = brute_convex_sets(g, k)
+    everything = frozenset(range(g.n))
+    return all(
+        any(c | {x} in convex for x in everything - c)
+        for c in convex
+        if c != everything
+    )
+
+
 def brute_simplicial(g: Graph, within=None) -> frozenset[int]:
     vs = set(range(g.n)) if within is None else set(within)
     out = set()

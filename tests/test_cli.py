@@ -149,28 +149,28 @@ def test_oracle_verdicts(capsys, strip_file, tmp_path):
     }
 
 
-def test_oracle_cap_and_env(capsys, monkeypatch, strip_file):
-    assert main(["oracle", strip_file, "--k", "3", "--max-n", "5"]) == 2
-    monkeypatch.setenv("CONVEXITY_MAX_N", "5")
-    assert main(["oracle", strip_file, "--k", "3"]) == 2
-    monkeypatch.setenv("CONVEXITY_MAX_N", "7")
-    assert main(["oracle", strip_file, "--k", "3"]) == 0
-    # an explicit flag wins over the environment
-    monkeypatch.setenv("CONVEXITY_MAX_N", "5")
-    assert main(["oracle", strip_file, "--k", "3", "--max-n", "7"]) == 0
-    monkeypatch.setenv("CONVEXITY_MAX_N", "junk")
-    assert main(["oracle", strip_file, "--k", "3"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("graph,geometry", [
+    (generators.star(17), True),
+    (generators.path(22), False),
+], ids=["star17", "path22"])
+def test_oracle_answers_up_to_scan_ceiling(capsys, tmp_path, graph, geometry):
+    f = tmp_path / "g.txt"
+    f.write_text(format_graph(graph))
+    code, data = run_json(capsys, ["oracle", str(f), "--k", "3", "--json"])
+    assert code == (0 if geometry else 1)
+    assert data["geometry"] is geometry
+    assert (data["certificate"] is None) is geometry
 
 
-def test_oracle_refuses_past_scan_ceiling(capsys, monkeypatch, tmp_path):
-    f = tmp_path / "p40.txt"
-    f.write_text(format_graph(generators.path(40)))
-    assert main(["oracle", str(f), "--k", "3", "--max-n", "40"]) == 2
-    assert "at most 22 vertices" in capsys.readouterr().err
-    monkeypatch.setenv("CONVEXITY_MAX_N", "40")
-    assert main(["oracle", str(f), "--k", "3"]) == 2
-    capsys.readouterr()
+def test_oracle_refuses_past_scan_ceiling(capsys, tmp_path):
+    for n in (23, 40):
+        f = tmp_path / f"p{n}.txt"
+        f.write_text(format_graph(generators.path(n)))
+        for flags in ([], ["--json"]):
+            assert main(["oracle", str(f), "--k", "3", *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at most 22 vertices" in captured.err
 
 
 def test_crosscheck_exhaustive(capsys, tmp_path):
@@ -294,7 +294,7 @@ def test_oracle_refuses_failing_certificate(capsys, monkeypatch, tmp_path, name,
     g = generators.gem(4) if name == "gem4" else generators.triangle_strip7()
     f.write_text(format_graph(g))
     monkeypatch.setattr(
-        cli, "verify_geometry", lambda g, k, max_n: GeometryVerdict(False, violation))
+        cli, "verify_geometry", lambda g, k: GeometryVerdict(False, violation))
     assert main(["oracle", str(f), "--k", "3", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

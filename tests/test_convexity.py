@@ -233,12 +233,10 @@ def test_enumerate_matches_bruteforce():
 
 
 def test_enumerate_cap():
-    g = generators.path(17)
-    with pytest.raises(SizeCapError):
-        enumerate_convex_sets(g, 3)
-    assert len(enumerate_convex_sets(g, 3, max_n=17)) > 0
-    with pytest.raises(SizeCapError):
-        enumerate_convex_sets(generators.path(40), 3, max_n=40)
+    assert len(enumerate_convex_sets(generators.path(17), 3)) > 0
+    for n in (23, 40):
+        with pytest.raises(SizeCapError, match="at most 22 vertices"):
+            enumerate_convex_sets(generators.path(n), 3)
 
 
 def test_convex_sets_closed_under_intersection(small_graph_pool):

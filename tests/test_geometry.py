@@ -2,7 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from bruteforce import brute_hull, brute_is_convex, brute_simplicial, subsets
+from bruteforce import (
+    brute_hull,
+    brute_is_convex,
+    brute_one_point_geometry,
+    brute_simplicial,
+    subsets,
+)
 from lkconvex import (
     Graph,
     GraphError,
@@ -85,12 +91,11 @@ def test_cycle_rejected():
 
 
 def test_verify_geometry_guards():
-    with pytest.raises(SizeCapError):
-        verify_geometry(generators.path(17), 3)
-    assert verify_geometry(generators.path(17), 3, max_n=17).is_geometry is False
-    # past the scan's own ceiling no max_n helps; refused before the 2^n table
-    with pytest.raises(SizeCapError):
-        verify_geometry(generators.path(40), 3, max_n=40)
+    assert verify_geometry(generators.path(17), 3).is_geometry is False
+    # past the scan's ceiling, refused before the 2^n table
+    for n in (23, 40):
+        with pytest.raises(SizeCapError, match="at most 22 vertices"):
+            verify_geometry(generators.path(n), 3)
     with pytest.raises(GraphError):
         verify_geometry(Graph(3, [(0, 1)]), 2)
 
@@ -102,6 +107,17 @@ def test_mkm_check_set(strip7):
     assert ok and ext == {0, 5} and hull_of_ext == {0, 1, 2, 3, 4, 5}
     with pytest.raises(NotConvexError):
         mkm_check_set(strip7, 3, {0, 6})
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_mkm_check_set_without_extremes(n):
+    # V of a cycle is convex with no extreme point; its replay is empty
+    # (hull refuses the empty set), so the oracle's certificate holds
+    g = generators.cycle(n)
+    for k in (2, 3, 4):
+        assert mkm_check_set(g, k, range(n)) == (False, frozenset(), frozenset())
+        assert certificate_holds(g, k, verify_geometry(g, k).violation)
+    assert mkm_check_set(g, 3, []) == (True, frozenset(), frozenset())
 
 
 def test_violation_sets_agree_with_public_ops(small_graph_pool):
@@ -150,3 +166,18 @@ def test_cycle_certificates_match_reference_scan(n):
     for k in (2, 3, 4):
         verdict = verify_geometry(g, k)
         assert (verdict.is_geometry, verdict.violation) == _reference_verdict(g, k)
+
+
+def test_one_point_extension_oracle_agrees(small_graph_pool):
+    """A second characterization: verify_geometry replays hulls of extreme
+    points, brute_one_point_geometry extends convex sets one vertex at a
+    time.  Both verdicts must occur in each sweep."""
+    labelled = [g for n in range(1, 6) for g in generators.all_connected_graphs(n)]
+    for graphs in (labelled, small_graph_pool + [generators.cycle(7)]):
+        verdicts = set()
+        for g in graphs:
+            for k in (2, 3, 4):
+                got = verify_geometry(g, k).is_geometry
+                assert got == brute_one_point_geometry(g, k), (g.edges(), k)
+                verdicts.add(got)
+        assert verdicts == {True, False}
