@@ -9,11 +9,10 @@ verdict can be revalidated independently of the algorithm that produced it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
-from .bits import ids_of, iter_bits
-from .graph import Graph, HoleWitness
+from .bits import ids_of
+from .graph import Graph, HoleWitness, _balls, _is_clique
 
 
 class ChordalityResult(NamedTuple):
@@ -52,32 +51,9 @@ def is_elimination_ordering(g: Graph, order: tuple[int, ...] | list[int]) -> boo
     later = g.full_mask
     for v in order:
         later &= ~(1 << v)
-        nb = adj[v] & later
-        for y in iter_bits(nb):
-            if nb & ~(adj[y] | (1 << y)):
-                return False
+        if not _is_clique(adj, adj[v] & later):
+            return False
     return True
-
-
-def _shortest_path_within(g: Graph, u: int, w: int, allowed: int) -> tuple[int, ...] | None:
-    """Shortest u-w path using only allowed vertices, or None."""
-    parent = {u: -1}
-    unseen = allowed & ~(1 << u)
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == w:
-            out = []
-            while x >= 0:
-                out.append(x)
-                x = parent[x]
-            return tuple(reversed(out))
-        new = g._adj[x] & unseen
-        unseen ^= new
-        for y in iter_bits(new):
-            parent[y] = x
-            queue.append(y)
-    return None
 
 
 def find_hole(g: Graph) -> HoleWitness | None:
@@ -86,6 +62,16 @@ def find_hole(g: Graph) -> HoleWitness | None:
     For a vertex v with non-adjacent neighbors u, w, any chordless u-w path
     that avoids the rest of N[v] closes into a hole through v.  A shortest
     such path in that restricted subgraph is automatically chordless.
+
+    The first (v, u < w) with such a path wins, with the lexicographically
+    first shortest u-w path: from u, step to the lowest-id neighbour in the
+    next smaller ball around w inside G - (N[v] - {u, w}), until w.  Every
+    neighbour there continues a shortest path, so each greedy step is the
+    least that can still finish.  A FIFO BFS from u that reads neighbours
+    in ascending order finds the same path through its parent links: by
+    induction on d, it visits layer d in the order of the first shortest
+    paths to its vertices, and each vertex of layer d + 1 takes as parent
+    its first visited neighbour in layer d, the end of the least such path.
     """
     adj = g._adj
     for v in range(g.n):
@@ -95,10 +81,19 @@ def find_hole(g: Graph) -> HoleWitness | None:
             for w in nbrs[i + 1:]:
                 if adj[u] >> w & 1:
                     continue
-                banned = closed & ~(1 << u) & ~(1 << w)
-                path = _shortest_path_within(g, u, w, g.full_mask & ~banned)
-                if path is not None:
-                    return HoleWitness((v, *path))
+                allowed = ~closed | (1 << u) | (1 << w)
+                inner = []  # the balls around w that miss u
+                for ball in _balls(g, w, allowed):
+                    if ball >> u & 1:
+                        break
+                    inner.append(ball)
+                else:
+                    continue  # u is not reachable from w
+                path = [u]
+                for ball in reversed(inner):
+                    nb = adj[path[-1]] & ball
+                    path.append((nb & -nb).bit_length() - 1)
+                return HoleWitness((v, *path))
     return None
 
 

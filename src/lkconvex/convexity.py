@@ -191,15 +191,15 @@ def extreme_points(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]:
     return set_of(simplicial_mask(g, smask))
 
 
-def span_table(g: Graph, what: str) -> list[int]:
+def span_table(g: Graph) -> list[int]:
     """A zeroed 2^n-entry span table for scan_convex, after the size check.
 
     Raises SizeCapError, before allocating, when g has more than MAX_SCAN_N
-    vertices; what names the refused operation in the message.
+    vertices.
     """
     if g.n > MAX_SCAN_N:
         raise SizeCapError(
-            f"refusing to {what} subsets of {g.n} vertices: the subset scan "
+            f"refusing to scan subsets of {g.n} vertices: the subset scan "
             f"holds a 2^n-entry table and accepts at most {MAX_SCAN_N} vertices"
         )
     return [0] * (1 << g.n)
@@ -256,5 +256,5 @@ def enumerate_convex_sets(g: Graph, k: int) -> list[frozenset[int]]:
     The scan is exhaustive over the 2^n subsets, so graphs with more than
     MAX_SCAN_N (22) vertices are refused with SizeCapError.
     """
-    span = span_table(g, "enumerate")
+    span = span_table(g)
     return [frozenset()] + [set_of(m) for m in scan_convex(g, k, span)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bits import set_of
-from .convexity import extreme_points, hull, scan_convex, span_table
+from .convexity import MAX_SCAN_N, extreme_points, hull, scan_convex, span_table
 from .graph import Graph, GraphError, is_connected, labeller
 
 
@@ -103,11 +103,12 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     """Check every convex set against its extreme-point reconstruction.
 
     Refuses graphs above MAX_SCAN_N (22) vertices with SizeCapError, since
-    the subset scan is 2^n, and disconnected graphs with GraphError.
+    the subset scan is 2^n, then disconnected graphs with GraphError,
+    before the 2^n table is allocated.
     """
-    span = span_table(g, "scan")
-    if not is_connected(g):
+    if g.n <= MAX_SCAN_N and not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
+    span = span_table(g)
     for smask in scan_convex(g, k, span):
         ok, ext, hm = _reconstructs(span, smask)
         if not ok:

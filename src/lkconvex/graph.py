@@ -106,9 +106,10 @@ def labeller(labels: Sequence[int] | None) -> Callable[[int], int]:
     return (lambda v: v) if labels is None else labels.__getitem__
 
 
-def _balls(g: Graph, v: int) -> Iterator[int]:
-    """Yield the masks of the vertices within 0, 1, 2, ... steps of v; the
-    last one is the whole component of v."""
+def _balls(g: Graph, v: int, within: int = -1) -> Iterator[int]:
+    """Yield the masks of the vertices within 0, 1, 2, ... steps of v in the
+    subgraph induced by within plus v (all of g by default); the last one is
+    the whole component of v there."""
     adj = g._adj
     ball = frontier = 1 << v
     while frontier:
@@ -116,7 +117,7 @@ def _balls(g: Graph, v: int) -> Iterator[int]:
         nxt = 0
         for x in iter_bits(frontier):
             nxt |= adj[x]
-        frontier = nxt & ~ball
+        frontier = nxt & within & ~ball
         ball |= frontier
 
 
@@ -161,15 +162,17 @@ def simplicial_mask(g: Graph, within: int | None = None) -> int:
     adj = g._adj
     out = 0
     for x in iter_bits(within):
-        nb = adj[x] & within
-        ok = True
-        for y in iter_bits(nb):
-            if nb & ~(adj[y] | (1 << y)):
-                ok = False
-                break
-        if ok:
+        if _is_clique(adj, adj[x] & within):
             out |= 1 << x
     return out
+
+
+def _is_clique(adj: Sequence[int], nb: int) -> bool:
+    """Whether the vertices of mask nb are pairwise adjacent under adj."""
+    for y in iter_bits(nb):
+        if nb & ~(adj[y] | (1 << y)):
+            return False
+    return True
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:

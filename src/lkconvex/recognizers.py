@@ -226,17 +226,19 @@ def _nested_neighbourhoods(g: Graph) -> bool:
     return True
 
 
-def _require_connected(g: Graph) -> None:
+def _hole_verdict(g: Graph) -> RecognitionVerdict | None:
+    """The rejection by a hole, or None when g is chordal.  Both
+    characterizations start here; a disconnected g raises GraphError."""
     if not is_connected(g):
         raise GraphError("recognition expects a connected graph")
+    ch = is_chordal(g)
+    return None if ch.chordal else RecognitionVerdict(False, ch.hole)
 
 
 def recognize_l2(g: Graph) -> RecognitionVerdict:
     """Convex-geometry test for k=2: chordal with no induced four-vertex path."""
-    _require_connected(g)
-    ch = is_chordal(g)
-    if not ch.chordal:
-        return RecognitionVerdict(False, ch.hole)
+    if rejected := _hole_verdict(g):
+        return rejected
     if _nested_neighbourhoods(g):  # chordal and P4-free
         return RecognitionVerdict(True)
     p4 = contains_induced_path(g, 4)  # chordal: the failed nesting is a P4
@@ -269,10 +271,8 @@ def necessary_conditions(g: Graph, k: int) -> RecognitionVerdict:
     """
     if k < 2:
         raise GraphError(f"path-length bound k must be at least 2, got {k}")
-    _require_connected(g)
-    ch = is_chordal(g)
-    if not ch.chordal:
-        return RecognitionVerdict(False, ch.hole)
+    if rejected := _hole_verdict(g):
+        return rejected
     for u in range(g.n):  # the lexicographically first pair beyond k
         ball = max(islice(_balls(g, u), k + 1))  # within k steps of u: balls only grow
         if far := g.full_mask & ~ball:  # all above u: one below would have found u

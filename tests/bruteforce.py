@@ -167,6 +167,40 @@ def brute_has_hole(g: Graph) -> bool:
     )
 
 
+def simple_paths(nbrs: dict[int, set[int]], u: int, w: int, allowed) -> list[tuple[int, ...]]:
+    """Every simple u-w path whose vertices all lie in allowed; nbrs[x] is
+    the neighbour set of x."""
+    out = []
+
+    def extend(path):
+        if path[-1] == w:
+            out.append(tuple(path))
+            return
+        for y in sorted(nbrs[path[-1]] & allowed):
+            if y not in path:
+                extend(path + [y])
+
+    extend([u])
+    return out
+
+
+def brute_find_hole(g: Graph) -> tuple[int, ...] | None:
+    """The hole find_hole defines: the first v, then the first nonadjacent
+    pair u < w of its neighbours joined by a path that avoids N[v] - {u, w},
+    closed through v by the shortest such path, lexicographically smallest
+    among the shortest.  Paths come from enumerating all simple paths."""
+    nbrs = {x: {y for y in range(g.n) if g.has_edge(x, y)} for x in range(g.n)}
+    for v in range(g.n):
+        for u, w in combinations(sorted(nbrs[v]), 2):
+            if w in nbrs[u]:
+                continue
+            allowed = {u, w} | (set(range(g.n)) - nbrs[v] - {v})
+            paths = simple_paths(nbrs, u, w, allowed)
+            if paths:
+                return (v, *min(paths, key=lambda p: (len(p), p)))
+    return None
+
+
 def brute_gem_count(g: Graph, min_n: int) -> int:
     """Count (base set, apex) pairs where the base induces a path of at
     least min_n edges and the apex sees all of it."""

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-from bruteforce import brute_has_hole, brute_lex_bfs
+from bruteforce import brute_find_hole, brute_has_hole, brute_lex_bfs
 from lkconvex import generators, is_chordal, is_elimination_ordering, lex_bfs
+from lkconvex.chordal import find_hole
 
 
 def test_cycle_has_hole():
@@ -70,3 +71,19 @@ def test_chordality_matches_bruteforce_random(small_graph_pool):
         assert res.chordal == (not brute_has_hole(g))
         if not res.chordal:
             assert res.hole.is_hole_in(g)
+
+
+def test_find_hole_matches_its_definition(connected_upto6):
+    sparse = [
+        generators.random_connected(n, density, seed)
+        for n in range(7, 15)
+        for density in (0.05, 0.1, 0.2, 0.4)
+        for seed in range(12)
+    ]
+    long_holes = 0
+    for g in connected_upto6 + sparse:
+        cycle = brute_find_hole(g)
+        hole = find_hole(g)
+        assert (hole and hole.cycle) == cycle
+        long_holes += g.n > 6 and cycle is not None and len(cycle) >= 6
+    assert long_holes >= 10

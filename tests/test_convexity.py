@@ -235,7 +235,7 @@ def test_enumerate_matches_bruteforce():
 def test_enumerate_cap():
     assert len(enumerate_convex_sets(generators.path(17), 3)) > 0
     for n in (23, 40):
-        with pytest.raises(SizeCapError, match="at most 22 vertices"):
+        with pytest.raises(SizeCapError, match=f"refusing to scan subsets of {n} vertices.*at most 22 vertices"):
             enumerate_convex_sets(generators.path(n), 3)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from bruteforce import (
@@ -98,6 +100,20 @@ def test_verify_geometry_guards():
             verify_geometry(generators.path(n), 3)
     with pytest.raises(GraphError):
         verify_geometry(Graph(3, [(0, 1)]), 2)
+
+
+def test_disconnected_graph_refused_before_the_table():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="connected"):
+            verify_geometry(Graph(22, [(0, 1)]), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # the 2^22-entry table alone is 32 MiB
+    # the size check still comes first
+    with pytest.raises(SizeCapError, match="refusing to scan subsets of 23 vertices"):
+        verify_geometry(Graph(23, [(0, 1)]), 3)
 
 
 def test_mkm_check_set(strip7):

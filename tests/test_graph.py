@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -24,7 +25,7 @@ from lkconvex import (
     is_connected,
     simplicial_vertices,
 )
-from lkconvex.graph import _adjacent_exactly_in_order
+from lkconvex.graph import _adjacent_exactly_in_order, _balls
 
 
 def test_construction_basics():
@@ -86,6 +87,26 @@ def test_distances_match_bruteforce(small_graph_pool):
             for v in range(g.n):
                 got = distance(g, u, v)
                 assert got == (None if ref[u][v] >= INF else ref[u][v])
+
+
+def test_balls_within_match_bruteforce(small_graph_pool):
+    rng = random.Random(7)
+    for g in small_graph_pool:
+        for _ in range(12):
+            within = rng.getrandbits(g.n)
+            for v in range(g.n):
+                sub = induced_subgraph(g, [x for x in range(g.n) if within >> x & 1 or x == v])
+                ref = brute_distances(sub.graph)[sub.child_ids[v]]
+                layers: dict[int, set[int]] = {}
+                for x, d in zip(sub.parent_ids, ref):
+                    if d < INF:
+                        layers.setdefault(d, set()).add(x)
+                balls = [0, *_balls(g, v, within)]
+                got = [
+                    {x for x in range(g.n) if (outer ^ inner) >> x & 1}
+                    for inner, outer in zip(balls, balls[1:])
+                ]
+                assert got == [layers[d] for d in range(len(layers))]
 
 
 def test_connectivity():
