@@ -9,9 +9,10 @@ verdict can be revalidated independently of the algorithm that produced it.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import NamedTuple
 
-from .bits import ids_of
+from .bits import iter_bits
 from .graph import Graph, HoleWitness, _balls, _is_clique
 
 
@@ -63,34 +64,37 @@ def find_hole(g: Graph) -> HoleWitness | None:
     that avoids the rest of N[v] closes into a hole through v.  A shortest
     such path in that restricted subgraph is automatically chordless.
 
-    The first (v, u < w) with such a path wins, with the lexicographically
-    first shortest u-w path: from u, step to the lowest-id neighbour in the
-    next smaller ball around w inside G - (N[v] - {u, w}), until w.  Every
-    neighbour there continues a shortest path, so each greedy step is the
-    least that can still finish.  A FIFO BFS from u that reads neighbours
-    in ascending order finds the same path through its parent links: by
-    induction on d, it visits layer d in the order of the first shortest
-    paths to its vertices, and each vertex of layer d + 1 takes as parent
-    its first visited neighbour in layer d, the end of the least such path.
+    The first (v, u < w) with such a path wins.  Since u and w are
+    nonadjacent, every u-w path avoiding N[v] - {u, w} has all its inner
+    vertices outside N[v], so one exists iff w has a neighbour among the
+    vertices u reaches in G - (N[v] - {u}).  One reach per (v, u) thus
+    answers every w at once, and the first w is the lowest candidate seen.
+
+    The path is the lexicographically first shortest u-w path: from u, step
+    to the lowest-id neighbour in the next smaller ball around w inside
+    G - (N[v] - {u, w}), until w.  Every neighbour there continues a
+    shortest path, so each greedy step is the least that can still finish.
+    A FIFO BFS from u that reads neighbours in ascending order finds the
+    same path through its parent links: by induction on d, it visits layer
+    d in the order of the first shortest paths to its vertices, and each
+    vertex of layer d + 1 takes as parent its first visited neighbour in
+    layer d, the end of the least such path.
     """
     adj = g._adj
     for v in range(g.n):
-        nbrs = ids_of(adj[v])
-        closed = adj[v] | (1 << v)
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1:]:
-                if adj[u] >> w & 1:
-                    continue
-                allowed = ~closed | (1 << u) | (1 << w)
-                inner = []  # the balls around w that miss u
-                for ball in _balls(g, w, allowed):
-                    if ball >> u & 1:
-                        break
-                    inner.append(ball)
-                else:
-                    continue  # u is not reachable from w
+        for u in iter_bits(adj[v]):
+            later = adj[v] & ~adj[u] & -(2 << u)  # the candidates w > u
+            if not later:
+                continue
+            outside = ~(adj[v] | 1 << v) | 1 << u  # G - (N[v] - {u})
+            seen = 0  # the neighbours of what u reaches there
+            for x in iter_bits(max(_balls(g, u, outside))):  # balls only grow
+                seen |= adj[x]
+            if hit := later & seen:
+                w = (hit & -hit).bit_length() - 1
+                inner = takewhile(lambda ball: not ball >> u & 1, _balls(g, w, outside))
                 path = [u]
-                for ball in reversed(inner):
+                for ball in reversed(list(inner)):  # the balls around w that miss u
                     nb = adj[path[-1]] & ball
                     path.append((nb & -nb).bit_length() - 1)
                 return HoleWitness((v, *path))

@@ -37,7 +37,7 @@ from .graph import (
     labeller,
 )
 from .chordal import is_chordal
-from .convexity import NotConvexError
+from .convexity import NotConvexError, effective_k
 from .geometry import MkmViolation, mkm_check_set
 
 
@@ -269,13 +269,14 @@ def necessary_conditions(g: Graph, k: int) -> RecognitionVerdict:
     A rejection (hole or far pair) is conclusive for any k >= 2; an
     acceptance is only a 'maybe' outside the characterized cases k=2, k=3.
     """
-    if k < 2:
-        raise GraphError(f"path-length bound k must be at least 2, got {k}")
+    k = effective_k(g, k)  # no distance exceeds n - 1
     if rejected := _hole_verdict(g):
         return rejected
     for u in range(g.n):  # the lexicographically first pair beyond k
-        ball = max(islice(_balls(g, u), k + 1))  # within k steps of u: balls only grow
+        balls = _balls(g, u)
+        ball = max(islice(balls, k + 1))  # within k steps of u: balls only grow
         if far := g.full_mask & ~ball:  # all above u: one below would have found u
             v = (far & -far).bit_length() - 1
-            return RecognitionVerdict(False, FarPair(u, v, distance(g, u, v)))
+            d = next(d for d, ball in enumerate(balls, k + 1) if ball >> v & 1)
+            return RecognitionVerdict(False, FarPair(u, v, d))
     return RecognitionVerdict(True)

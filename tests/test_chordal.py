@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
+
 from bruteforce import brute_find_hole, brute_has_hole, brute_lex_bfs
-from lkconvex import generators, is_chordal, is_elimination_ordering, lex_bfs
+from lkconvex import Graph, generators, is_chordal, is_elimination_ordering, lex_bfs
 from lkconvex.chordal import find_hole
 
 
@@ -73,6 +75,26 @@ def test_chordality_matches_bruteforce_random(small_graph_pool):
             assert res.hole.is_hole_in(g)
 
 
+def _hung_cycles(count: int) -> list[Graph]:
+    """Seeded 10-14-vertex graphs: a cycle C4-C8 with pendant leaves and
+    small trees hung on it.  Each is relabelled twice at random: once with
+    the hung vertices on the lowest ids, so that they come first among a
+    cycle vertex's neighbours, and once freely."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        c, n = rng.randint(4, 8), rng.randint(10, 14)
+        edges = [(i, (i + 1) % c) for i in range(c)]
+        edges += [(x, rng.randrange(x if rng.random() < 0.3 else c)) for x in range(c, n)]
+        hung, ring = list(range(c, n)), list(range(c))
+        rng.shuffle(hung)
+        rng.shuffle(ring)
+        for order in (hung + ring, rng.sample(range(n), n)):
+            ids = {x: i for i, x in enumerate(order)}
+            out.append(Graph(n, [(ids[a], ids[b]) for a, b in edges]))
+    return out
+
+
 def test_find_hole_matches_its_definition(connected_upto6):
     sparse = [
         generators.random_connected(n, density, seed)
@@ -80,10 +102,12 @@ def test_find_hole_matches_its_definition(connected_upto6):
         for density in (0.05, 0.1, 0.2, 0.4)
         for seed in range(12)
     ]
+    hung = _hung_cycles(60)
     long_holes = 0
-    for g in connected_upto6 + sparse:
+    for g in connected_upto6 + sparse + hung:
         cycle = brute_find_hole(g)
         hole = find_hole(g)
         assert (hole and hole.cycle) == cycle
         long_holes += g.n > 6 and cycle is not None and len(cycle) >= 6
     assert long_holes >= 10
+    assert sum(g.degree(find_hole(g).cycle[0]) >= 4 for g in hung) >= 20  # 30 here

@@ -1,12 +1,13 @@
 """Deep inputs, work bounds and the CLI exit-code contract.
 
 Induced paths longer than the interpreter's recursion limit must be walked
-like short ones, hulls and extreme points of large sets and the k=2 test
-and gem enumeration on a large trivially perfect graph must stay within
-their time budgets, and no input may make the CLI leave the contract: exit
-0, 1 or 2, with argparse's own SystemExit(2) as the only exception allowed
-to escape main, nothing on stdout with exit 2, and with --json one line on
-stdout holding the one report object.
+like short ones, hulls and extreme points of large sets, the k=2 test
+and gem enumeration on a large trivially perfect graph and the hole search
+behind a large star must stay within their time budgets, and no input
+may make the CLI leave the contract: exit 0, 1 or 2, with argparse's own
+SystemExit(2) as the only exception allowed to escape main, nothing on
+stdout with exit 2, and with --json one line on stdout holding the one
+report object.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lkconvex import (
+    Graph,
     contains_induced_path,
     enumerate_gems,
     extreme_points,
@@ -118,6 +120,22 @@ def test_large_trivially_perfect_graph(seed):
     elapsed = time.perf_counter() - t0
     assert gems == []
     assert elapsed < 0.5, elapsed
+
+
+def test_hole_behind_a_large_star(capsys, tmp_path):
+    # Centre 0 has 4,000 leaves, and a 4-cycle hangs on the last one: the
+    # hole search must not try the leaves pair by pair.
+    edges = [(0, x) for x in range(1, 4001)]
+    edges += [(4000, 4001), (4001, 4002), (4002, 4003), (4003, 4000)]
+    f = tmp_path / "star.txt"
+    f.write_text(format_graph(Graph(4004, edges)))
+    for k in ("3", "2"):
+        t0 = time.perf_counter()
+        code, out, _ = _run(["recognize", str(f), "--k", k, "--json"], capsys)
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        assert json.loads(out)["certificate"] == {"kind": "hole", "cycle": [4000, 4001, 4002, 4003]}
+        assert elapsed < 1.0, elapsed
 
 
 LONG_PATH = f"{MAX_VERTICES} {MAX_VERTICES - 1}\n" + "".join(
