@@ -88,11 +88,11 @@ def find_hole(g: Graph) -> HoleWitness | None:
                 continue
             outside = ~(adj[v] | 1 << v) | 1 << u  # G - (N[v] - {u})
             seen = 0  # the neighbours of what u reaches there
-            for x in iter_bits(max(_balls(g, u, outside))):  # balls only grow
+            for x in iter_bits(max(_balls(g, 1 << u, outside))):  # balls only grow
                 seen |= adj[x]
             if hit := later & seen:
                 w = (hit & -hit).bit_length() - 1
-                inner = takewhile(lambda ball: not ball >> u & 1, _balls(g, w, outside))
+                inner = takewhile(lambda ball: not ball >> u & 1, _balls(g, 1 << w, outside))
                 path = [u]
                 for ball in reversed(list(inner)):  # the balls around w that miss u
                     nb = adj[path[-1]] & ball

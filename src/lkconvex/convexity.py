@@ -9,8 +9,10 @@ still convex; for k >= 2 that happens exactly when x is simplicial in the
 subgraph induced by S, and extreme_points answers by that test.
 
 Every operator computes each pair interval it needs once.  A hull step
-only unions the pairs that meet the vertices the previous step added, and
-the iteration stops early at V, which is convex.  The convex-set
+is built from segments between vertices of the set: one induced-path walk
+from each vertex the previous step added, through vertices outside the
+set, to the rest of the set.  A pair interval is the one-pair case of that
+step, and the iteration stops early at V, which is convex.  The convex-set
 enumeration, shared with the geometry oracle, is a subset scan over a span
 table: each subset's union of pair intervals is read off two smaller
 subsets and one pair, so no subset re-tests its pairs.  The table has one
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .bits import iter_bits, mask_of, set_of
-from .graph import Graph, GraphError, _path_tuples, labeller, simplicial_mask
+from .graph import Graph, GraphError, _balls, _induced_walk, labeller, simplicial_mask
 
 # The one size bound of the subset scan, which keeps one span-table entry per
 # subset, 2^n in all.  At 22 vertices that is about 4M entries; the complete
@@ -60,17 +63,43 @@ def effective_k(g: Graph, k: int) -> int:
 
 
 def _step(g: Graph, k: int, cur: int, new: int) -> int:
-    """cur plus I[u,v] over the pairs u < v of cur that meet new (new inside
-    cur).  In a hull step new is what the last step added: the intervals of
-    the other pairs, those of the previous iterate, are already in cur."""
+    """cur plus I[u,v] over the pairs u, v of cur that meet new (new inside
+    cur), built from segments between vertices of cur.  In a hull step new
+    is what the last step added: the intervals of the other pairs, those of
+    the previous iterate, are already in cur.
+
+    Lemma.  Cut an induced path with at most k edges whose ends lie in cur
+    at each of its vertices in cur.  Each piece is a subpath, so it is an
+    induced path with at most k edges; both its ends are in cur and no inner
+    vertex is.  Every vertex of the path outside cur is inner to a piece.
+    A piece is an induced path between its two ends, so it lies in their
+    interval, and when both ends are outside new that interval is already
+    in cur.  So the step is cur plus the pieces with an end in new.
+
+    A piece with both ends in new is found from its lower end.  So from
+    each u in new, in ascending order, one walk looks for the pieces that
+    end in T_u, cur - new plus the vertices of new above u.  It stops at
+    any vertex of cur, and a path on L vertices only grows into the
+    vertices within k - L steps of T_u through vertices outside cur, so
+    that it can still end in T_u in time.
+    """
     out = cur
-    old = list(iter_bits(cur & ~new))
-    vs = list(iter_bits(new))
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            out |= _interval_mask(g, k, u, v)
-        for v in old:
-            out |= _interval_mask(g, k, min(u, v), max(u, v))
+    old = cur & ~new
+    outside = ~cur
+    for u in iter_bits(new):
+        targets = old | new >> u + 1 << u + 1
+        if not targets:
+            continue
+        near = list(islice(_balls(g, targets, outside), k))
+        near += [near[-1]] * (k - len(near))
+        stop = cur ^ 1 << u
+
+        def prune(path: list[int], cand: int) -> int:
+            return 0 if stop >> path[-1] & 1 else cand & near[k - len(path)]
+
+        for path in _induced_walk(g, u, prune):
+            if len(path) > 2 and stop >> path[-1] & 1:
+                out |= mask_of(path)
     return out
 
 
@@ -101,12 +130,12 @@ def _hull_masks(g: Graph, k: int, smask: int) -> list[int]:
 
 
 def _interval_mask(g: Graph, k: int, u: int, v: int) -> int:
-    out = (1 << u) | (1 << v)
+    """I[u,v] for u != v: the one-pair step, a walk from u pruned by the
+    balls around v."""
+    pair = 1 << u | 1 << v
     if g._adj[u] >> v & 1:
-        return out
-    for t in _path_tuples(g, u, v, k):
-        out |= mask_of(t)
-    return out
+        return pair
+    return _step(g, k, pair, pair)
 
 
 def _set_mask(g: Graph, vertices: Iterable[int]) -> int:

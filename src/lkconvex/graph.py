@@ -106,12 +106,13 @@ def labeller(labels: Sequence[int] | None) -> Callable[[int], int]:
     return (lambda v: v) if labels is None else labels.__getitem__
 
 
-def _balls(g: Graph, v: int, within: int = -1) -> Iterator[int]:
-    """Yield the masks of the vertices within 0, 1, 2, ... steps of v in the
-    subgraph induced by within plus v (all of g by default); the last one is
-    the whole component of v there."""
+def _balls(g: Graph, start: int, within: int = -1) -> Iterator[int]:
+    """Yield the masks of the vertices within 0, 1, 2, ... steps of the mask
+    start in the subgraph induced by within plus start (all of g by default);
+    the last one is everything start reaches there, and the balls stop as
+    soon as they stop growing."""
     adj = g._adj
-    ball = frontier = 1 << v
+    ball = frontier = start
     while frontier:
         yield ball
         nxt = 0
@@ -126,7 +127,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     g.check_vertex(source)
     dist = [-1] * g.n
     inner = 0
-    for d, ball in enumerate(_balls(g, source)):
+    for d, ball in enumerate(_balls(g, 1 << source)):
         for x in iter_bits(ball ^ inner):
             dist[x] = d
         inner = ball
@@ -137,18 +138,18 @@ def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path distance, or None when v is unreachable from u."""
     g.check_vertex(v)
     g.check_vertex(u)
-    return next((d for d, ball in enumerate(_balls(g, u)) if ball >> v & 1), None)
+    return next((d for d, ball in enumerate(_balls(g, 1 << u)) if ball >> v & 1), None)
 
 
 def is_connected(g: Graph) -> bool:
-    return max(_balls(g, 0)) == g.full_mask  # balls only grow: max is the last
+    return max(_balls(g, 1)) == g.full_mask  # balls only grow: max is the last
 
 
 def diameter(g: Graph) -> int:
     """Largest pairwise distance; raises GraphError on disconnected input."""
     if not is_connected(g):
         raise GraphError("diameter is undefined on a disconnected graph")
-    return max(sum(1 for _ in _balls(g, u)) for u in g.vertices) - 1
+    return max(sum(1 for _ in _balls(g, 1 << u)) for u in g.vertices) - 1
 
 
 def simplicial_mask(g: Graph, within: int | None = None) -> int:
@@ -245,30 +246,14 @@ def _induced_walk(g: Graph, start: int, prune: Callable[[list[int], int], int]) 
             stack.append((more, closed | adj[x], d + 1))
 
 
-def _path_tuples(g: Graph, u: int, v: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Yield every induced u-v path with at most max_len edges.
-
-    Paths come out in lexicographic order of their vertex sequences.  A
-    path on L vertices only grows into near[max_len - L], the vertices
-    within max_len - L steps of v, so that it can still end at v in time.
-    """
-    max_len = min(max_len, g.n - 1)
-    near = list(islice(_balls(g, v), max_len))
-    near += [near[-1]] * (max_len - len(near))
-
-    def prune(path: list[int], cand: int) -> int:
-        return 0 if path[-1] == v else cand & near[max_len - len(path)]
-
-    for path in _induced_walk(g, u, prune):
-        if path[-1] == v:
-            yield tuple(path)
-
-
 def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[InducedPath]:
     """Stream the induced u-v paths with at most max_len edges.
 
     Requires u != v and max_len >= 1; the stream is empty when u and v are
-    disconnected or further apart than max_len.
+    disconnected or further apart than max_len.  Paths come out in
+    lexicographic order of their vertex sequences.  A path on L vertices
+    only grows into near[max_len - L], the vertices within max_len - L
+    steps of v, so that it can still end at v in time.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -276,8 +261,16 @@ def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[In
         raise GraphError("endpoints of a path must differ")
     if max_len < 1:
         raise GraphError(f"max_len must be at least 1, got {max_len}")
-    for t in _path_tuples(g, u, v, max_len):
-        yield InducedPath(t)
+    max_len = min(max_len, g.n - 1)
+    near = list(islice(_balls(g, 1 << v), max_len))
+    near += [near[-1]] * (max_len - len(near))
+
+    def prune(path: list[int], cand: int) -> int:
+        return 0 if path[-1] == v else cand & near[max_len - len(path)]
+
+    for path in _induced_walk(g, u, prune):
+        if path[-1] == v:
+            yield InducedPath(tuple(path))
 
 
 def contains_induced_path(g: Graph, m: int) -> InducedPath | None:

@@ -273,7 +273,7 @@ def necessary_conditions(g: Graph, k: int) -> RecognitionVerdict:
     if rejected := _hole_verdict(g):
         return rejected
     for u in range(g.n):  # the lexicographically first pair beyond k
-        balls = _balls(g, u)
+        balls = _balls(g, 1 << u)
         ball = max(islice(balls, k + 1))  # within k steps of u: balls only grow
         if far := g.full_mask & ~ball:  # all above u: one below would have found u
             v = (far & -far).bit_length() - 1

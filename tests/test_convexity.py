@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -17,10 +18,12 @@ from lkconvex import (
     GraphError,
     NotConvexError,
     SizeCapError,
+    bfs_distances,
     enumerate_convex_sets,
     extreme_points,
     generators,
     hull,
+    induced_paths_between,
     interval,
     interval_of_set,
     is_convex,
@@ -132,6 +135,61 @@ def test_hull_matches_bruteforce(small_graph_pool):
             for seed in subsets(range(g.n), min_size=1, max_size=2):
                 trace = brute_hull_trace(g, k, seed)
                 assert list(hull(g, k, seed).iterates) == trace, (g, k, seed)
+
+
+
+def _reference_step(g, k, cur, memo):
+    """One interval-operator step, pair by pair from the public path stream."""
+    out = set(cur)
+    for u, v in combinations(sorted(cur), 2):
+        if (u, v) not in memo:
+            memo[u, v] = {x for p in induced_paths_between(g, u, v, k) for x in p.vertices}
+        out |= memo[u, v]
+    return frozenset(out)
+
+
+def _pair_within(g, k, rng):
+    """A random pair at distance 2..k, whose interval holds more than the pair."""
+    while True:
+        u = rng.randrange(g.n)
+        near = [x for x, d in enumerate(bfs_distances(g, u)) if 2 <= d <= k]
+        if near:
+            return {u, rng.choice(near)}
+
+
+def _mid_size_cases():
+    # sparse holed graphs, where hulls take several steps with large new sets
+    for i in range(8):
+        n = 30 + 30 * i // 7
+        g = generators.random_connected(n, 1.3 / n, i)
+        for k in (4, 5):
+            yield g, k, _pair_within(g, k, random.Random(i * 10 + k))
+    # chordal graphs, with short hulls of pairs and triples
+    for i in range(6):
+        n = 20 + 4 * i
+        g = generators.random_connected_chordal(n, 0.6, i)
+        rng = random.Random(i)
+        for k in (3, 4):
+            yield g, k, _pair_within(g, k, rng)
+            yield g, k, set(rng.sample(range(n), 3))
+
+
+def test_hull_steps_match_pairwise_reference_on_mid_size_graphs():
+    memos = {}
+    deep = 0
+    for g, k, seed in _mid_size_cases():
+        memo = memos.setdefault((g, k), {})
+        its = hull(g, k, seed).iterates
+        assert its[0] == seed
+        for cur, nxt in zip(its, its[1:] + (None,)):
+            step = _reference_step(g, k, cur, memo)
+            assert interval_of_set(g, k, cur) == step, (g, k, seed, sorted(cur))
+            if nxt is None:
+                assert step == cur, (g, k, seed)  # the fixed point
+            else:
+                assert nxt == step != cur, (g, k, seed, sorted(cur))
+        deep += len(its) >= 4 and max(len(b - a) for a, b in zip(its, its[1:])) >= 10
+    assert deep >= 8  # hulls of 3+ steps that add 10+ vertices in one step
 
 
 def test_is_convex_strip(strip7):

@@ -101,7 +101,7 @@ def test_balls_within_match_bruteforce(small_graph_pool):
                 for x, d in zip(sub.parent_ids, ref):
                     if d < INF:
                         layers.setdefault(d, set()).add(x)
-                balls = [0, *_balls(g, v, within)]
+                balls = [0, *_balls(g, 1 << v, within)]
                 got = [
                     {x for x in range(g.n) if (outer ^ inner) >> x & 1}
                     for inner, outer in zip(balls, balls[1:])

@@ -98,6 +98,19 @@ def test_long_cli_hull(capsys, tmp_path):
     assert report["trace"]["steps"] == 1 and report["hull"] == list(range(1500))
 
 
+
+def test_sparse_cli_hull(capsys, tmp_path):
+    # A sparse holed graph whose hull steps add dozens of vertices at k = 7:
+    # each step must walk once per added vertex, not once per pair.
+    f = tmp_path / "sparse.txt"
+    f.write_text(format_graph(generators.random_connected(200, 0.012, 3)))
+    t0 = time.perf_counter()
+    code, out, _ = _run(["hull", str(f), "--k", "7", "--set", "0,134", "--json"], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert len(json.loads(out)["hull"]) == 192
+    assert elapsed < 1.0, elapsed
+
 def test_extremes_of_a_large_set():
     g = generators.path(200)
     t0 = time.perf_counter()
