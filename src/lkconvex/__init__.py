@@ -60,6 +60,7 @@ from .recognizers import (
     necessary_conditions,
     recognize_l2,
     recognize_l3,
+    solved_gems,
 )
 
 __version__ = "0.1.0"
@@ -111,5 +112,6 @@ __all__ = [
     "recognize_l2",
     "recognize_l3",
     "simplicial_vertices",
+    "solved_gems",
     "verify_geometry",
 ]

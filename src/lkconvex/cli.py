@@ -37,11 +37,10 @@ from .graph import Graph, GraphError, induced_subgraph
 from .recognizers import (
     certificate_holds,
     certificate_json,
-    enumerate_gems,
     gem_json,
-    is_gem_solved,
     recognize_l2,
     recognize_l3,
+    solved_gems,
 )
 
 _FAMILIES = {
@@ -191,11 +190,8 @@ def text_extremes(f: dict) -> list[str]:
 
 
 def cmd_gems(args: argparse.Namespace, parsed: ParsedGraph) -> tuple[int, dict]:
-    g = parsed.graph
-    rows = []
-    for w in enumerate_gems(g, args.min_n):
-        ok, p = is_gem_solved(g, w)
-        rows.append({**gem_json(w, p, parsed.labels), "n": w.n, "solved": ok})
+    rows = [{**gem_json(w, p, parsed.labels), "n": w.n, "solved": p is not None}
+            for w, p in solved_gems(parsed.graph, args.min_n)]
     solved = sum(row["solved"] for row in rows)
     counts = {"total": len(rows), "solved": solved, "unsolved": len(rows) - solved}
     return 0, {"min_n": args.min_n, "gems": rows, "counts": counts}

@@ -44,8 +44,14 @@ class ParsedGraph(NamedTuple):
         return self.labels[vertex]
 
     def vertex_of(self, label: int) -> int:
+        # Parsed labels are consecutive, so a label's offset from the first
+        # is its vertex; a hand-built label tuple falls back to a scan.
+        labels = self.labels
+        i = label - labels[0] if labels else -1
+        if 0 <= i < len(labels) and labels[i] == label:
+            return i
         try:
-            return self.labels.index(label)
+            return labels.index(label)
         except ValueError:
             raise FormatError(f"unknown vertex label {label}") from None
 

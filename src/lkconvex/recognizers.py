@@ -10,7 +10,9 @@ x_n that avoids the apex.  Rejections carry a machine-checkable
 certificate: a hole, a four-vertex induced path, a vertex pair beyond the
 distance bound, or an unsolved gem.  The k=3 recognizer enumerates every
 induced gem, and a graph can hold exponentially many of them (gem(1200)
-has about 717k), so its worst case is exponential.
+has about 717k), so its worst case is exponential.  Whether a gem is solved
+depends only on the ends of its base, so the gem stream solves each end
+pair once and hands the path to every gem that shares it.
 
 The general necessary-conditions filter (chordal plus diameter <= k) is also
 exposed; it is sound for rejection at every k but only decides membership
@@ -122,8 +124,9 @@ def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> boo
             return k == 2 and cert.is_induced_in(g) and cert.length == 3
         case FarPair():
             return cert.is_far_in(g, k)
-        case GemWitness():
-            return k == 3 and cert.is_valid_in(g) and not is_gem_solved(g, cert)[0]
+        case GemWitness(base):
+            ends = base.vertices
+            return k == 3 and cert.is_valid_in(g) and _solving_path(g._adj, ends[0], ends[-1]) is None
     return False
 
 
@@ -189,23 +192,59 @@ def enumerate_gems(g: Graph, min_n: int = 3) -> Iterator[GemWitness]:
                     yield GemWitness(base, apex)
 
 
+def _solving_path(adj: list[int], x0: int, xn: int) -> InducedPath | None:
+    """The lexicographically first induced 3-edge path from x0 to xn, or None,
+    for nonadjacent x0 and xn.
+
+    Such a path is x0-b-c-xn with b in N(x0) minus N[xn] and c in N(b) and
+    N(xn) minus N[x0].  Only adj[x0], adj[xn] and adj[b] are read.  A gem's
+    apex sees both base ends, so it is never b or c: the path avoids the
+    apex of every gem on these ends, and whether a gem is solved, and by
+    which path, is a function of its end pair alone.
+    """
+    last = adj[xn] & ~adj[x0]  # N(xn) minus N[x0]: x0 and xn are nonadjacent
+    for b in iter_bits(adj[x0] & ~adj[xn]):
+        if c := adj[b] & last:
+            return InducedPath((x0, b, (c & -c).bit_length() - 1, xn))
+    return None
+
+
 def is_gem_solved(g: Graph, witness: GemWitness) -> tuple[bool, InducedPath | None]:
     """Look for an induced path of length exactly 3 joining the base ends
     of the gem while avoiding its apex; returns the lexicographically first.
-
-    Such a path is x0-b-c-xn with b in N(x0) minus N[xn] and c in N(b) and
-    N(xn) minus N[x0].  The apex sees both ends, so it is never b or c.
-    """
+    The witness is checked to be an induced gem of g first."""
     if not witness.is_valid_in(g):
         raise GraphError(f"not an induced gem of this graph: {witness}")
-    x0 = witness.base.vertices[0]
-    xn = witness.base.vertices[-1]
+    ends = witness.base.vertices
+    path = _solving_path(g._adj, ends[0], ends[-1])
+    return path is not None, path
+
+
+def solved_gems(g: Graph, min_n: int = 3) -> Iterator[tuple[GemWitness, InducedPath | None]]:
+    """Each gem of enumerate_gems(g, min_n), in its order, with the path
+    that solves it (None when unsolved), as is_gem_solved finds it.
+
+    The witnesses are not validated again: enumerate_gems builds each base
+    as an induced walk of at least min_n >= 3 edges, and each apex as a
+    common neighbour of the whole base, which therefore is not on it.  The
+    path depends only on the base ends (see _solving_path), and the walk
+    reports every base from its lower end with the start vertices in
+    ascending order, so the gems on one x0 come in one run.  The paths are
+    kept per xn for the current x0 only: at most n of them at a time.
+    """
     adj = g._adj
-    last = adj[xn] & ~adj[x0]  # N(xn) minus N[x0]: the base ends are nonadjacent
-    for b in iter_bits(adj[x0] & ~adj[xn]):
-        if c := adj[b] & last:
-            return True, InducedPath((x0, b, (c & -c).bit_length() - 1, xn))
-    return False, None
+    x0, paths = -1, {}
+    for w in enumerate_gems(g, min_n):
+        ends = w.base.vertices
+        if ends[0] != x0:
+            x0 = ends[0]
+            paths.clear()
+        xn = ends[-1]
+        try:
+            path = paths[xn]
+        except KeyError:
+            path = paths[xn] = _solving_path(adj, x0, xn)
+        yield w, path
 
 
 def _nested_neighbourhoods(g: Graph) -> bool:
@@ -255,9 +294,8 @@ def recognize_l3(g: Graph) -> RecognitionVerdict:
     if not verdict.accepted:
         return verdict
     solved: list[tuple[GemWitness, InducedPath]] = []
-    for w in enumerate_gems(g, 4):
-        ok, p = is_gem_solved(g, w)
-        if not ok:
+    for w, p in solved_gems(g, 4):
+        if p is None:
             return RecognitionVerdict(False, w)
         solved.append((w, p))
     return RecognitionVerdict(True, solved_gems=tuple(solved))

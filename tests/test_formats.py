@@ -13,7 +13,7 @@ from lkconvex import (
     load_graph,
     parse_graph,
 )
-from lkconvex.formats import MAX_VERTICES
+from lkconvex.formats import MAX_VERTICES, ParsedGraph
 
 CANONICAL = """\
 # a comment
@@ -47,8 +47,17 @@ def test_parse_dimacs():
     assert parsed.graph.has_edge(0, 1)  # file edge 'e 1 2'
     assert parsed.label_of(0) == 1
     assert parsed.vertex_of(4) == 3
-    with pytest.raises(FormatError):
-        parsed.vertex_of(9)
+    for label in (9, 0, -3):
+        with pytest.raises(FormatError):
+            parsed.vertex_of(label)
+
+
+def test_vertex_of_hand_built_labels():
+    parsed = ParsedGraph(generators.path(3), (5, 9, 2))
+    assert [parsed.vertex_of(label) for label in (5, 9, 2)] == [0, 1, 2]
+    for label in (6, 7, 3):
+        with pytest.raises(FormatError):
+            parsed.vertex_of(label)
 
 
 def test_round_trip_canonical(strip7):

@@ -22,7 +22,9 @@ from lkconvex import (
     necessary_conditions,
     recognize_l2,
     recognize_l3,
+    solved_gems,
 )
+from lkconvex import recognizers
 
 
 def augmented_gem4() -> Graph:
@@ -117,7 +119,25 @@ def test_gem_solver_matches_reference(small_graph_pool):
             solved, path = is_gem_solved(g, w)
             assert (solved, path) == (want is not None, None if want is None else InducedPath(want)), w
             outcomes.add(solved)
+        assert list(solved_gems(g, 3)) == [(w, is_gem_solved(g, w)[1]) for w in enumerate_gems(g, 3)]
     assert outcomes == {True, False}
+
+
+def test_recognizer_solves_each_end_pair_once(monkeypatch):
+    # 19,315 gems on 481 end pairs: one solve per pair, not per gem.
+    calls = []
+    solve = recognizers._solving_path
+
+    def counted(adj, x0, xn):
+        calls.append((x0, xn))
+        return solve(adj, x0, xn)
+
+    monkeypatch.setattr(recognizers, "_solving_path", counted)
+    g = generators.random_connected_chordal(60, 0.95, 0)
+    verdict = recognize_l3(g)
+    assert verdict.accepted and len(verdict.solved_gems) == 19315
+    pairs = {(w.base.vertices[0], w.base.vertices[-1]) for w, _ in verdict.solved_gems}
+    assert len(calls) == len(set(calls)) == len(pairs) == 481
 
 
 def test_is_gem_solved_rejects_bad_witness(strip7):

@@ -1,13 +1,13 @@
 """Deep inputs, work bounds and the CLI exit-code contract.
 
 Induced paths longer than the interpreter's recursion limit must be walked
-like short ones, hulls and extreme points of large sets, the k=2 test
-and gem enumeration on a large trivially perfect graph and the hole search
-behind a large star must stay within their time budgets, and no input
-may make the CLI leave the contract: exit 0, 1 or 2, with argparse's own
-SystemExit(2) as the only exception allowed to escape main, nothing on
-stdout with exit 2, and with --json one line on stdout holding the one
-report object.
+like short ones, hulls and extreme points of large sets, the lookup of
+many vertex labels, the k=2 test and gem enumeration on a large trivially
+perfect graph and the hole search behind a large star must stay within
+their time budgets, and no input may make the CLI leave the contract:
+exit 0, 1 or 2, with argparse's own SystemExit(2) as the only exception
+allowed to escape main, nothing on stdout with exit 2, and with --json one
+line on stdout holding the one report object.
 """
 
 from __future__ import annotations
@@ -110,6 +110,21 @@ def test_sparse_cli_hull(capsys, tmp_path):
     assert code == 0
     assert len(json.loads(out)["hull"]) == 192
     assert elapsed < 1.0, elapsed
+
+
+def test_label_lookup_on_a_large_set(capsys, tmp_path):
+    # Every --set label is looked up once: 20,000 of them must not scan the
+    # label tuple one by one.
+    f = tmp_path / "star.txt"
+    f.write_text(format_graph(generators.star(20000)))
+    labels = ",".join(map(str, range(20000)))
+    t0 = time.perf_counter()
+    code, out, _ = _run(["hull", str(f), "--k", "3", "--set", labels, "--json"], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(out)["hull"] == list(range(20000))
+    assert elapsed < 1.0, elapsed
+
 
 def test_extremes_of_a_large_set():
     g = generators.path(200)
