@@ -14,8 +14,10 @@ check is an internal error, not a verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -31,7 +33,15 @@ from .convexity import (
     hull,
     interval,
 )
-from .formats import FormatError, ParsedGraph, format_graph, format_vertex_set, load_graph
+from .formats import (
+    MAX_VERTICES,
+    FormatError,
+    ParsedGraph,
+    format_graph,
+    format_vertex_set,
+    load_graph,
+    parse_graph,
+)
 from .geometry import verify_geometry
 from .graph import Graph, GraphError, induced_subgraph
 from .recognizers import (
@@ -58,6 +68,20 @@ _FAMILIES = {
 
 class _InternalCheckError(Exception):
     """A certificate failed its own re-check; refuse to print it."""
+
+
+def _write(text: str) -> None:
+    """Write text to stdout and flush it.  When that fails (a closed pipe, a
+    full disk) the OSError goes on to main, and fd 1 is pointed at os.devnull
+    so that the interpreter's own last flush cannot fail a second time."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        # left as it is when stdout has no descriptor (a StringIO) or is closed
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise
 
 
 def _check(g: Graph, k: int, cert) -> None:
@@ -287,16 +311,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for field in needed:
         if getattr(args, field) is None:
             raise FormatError(f"family {args.family!r} needs --{field}")
+    if "n" in needed and args.n > MAX_VERTICES:
+        raise FormatError(f"--n {args.n} exceeds the vertex limit of {MAX_VERTICES}")
     g = spec[1](args)
     pieces = [f"family={args.family}"]
     for field in needed:
         pieces.append(f"{field}={getattr(args, field)}")
     text = format_graph(g, comment=" ".join(pieces))
+    parse_graph(text)  # write nothing that the reading commands would refuse
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {g.n} vertices / {g.m} edges to {args.output}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        _write(text)
     return 0
 
 
@@ -444,17 +471,17 @@ def main(argv: list[str] | None = None) -> int:
             code, fields = args.func(args, parsed)
         else:
             code, fields = args.func(args)
+        if args.json:
+            report.update(fields, wall_time_s=round(time.perf_counter() - t0, 6))
+            _write(json.dumps(report, sort_keys=True) + "\n")
+        else:
+            _write("\n".join(args.text(fields)) + "\n")
     except (FormatError, GraphError, SizeCapError, NotConvexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        report.update(fields, wall_time_s=round(time.perf_counter() - t0, 6))
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print("\n".join(args.text(fields)))
     return code
 
 

@@ -9,11 +9,14 @@ Two dialects are read:
 
 Parsing keeps the vertex labels as they appeared in the file, so reports
 can speak the caller's language; internally everything is 0-based.
+
+A file is read in one pass, its edges streamed into Graph, which checks
+each of them once; a bad edge, or masks that would pass MAX_MASK_BYTES,
+are reported where they are read.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
@@ -28,7 +31,8 @@ MAX_VERTICES = 100_000
 # Largest size in bytes of a file's adjacency masks.  Each vertex's mask is as
 # long as its highest neighbor id, so a path on n vertices needs n^2/16 bytes:
 # 0.6 GB for a 1.2 MB file at MAX_VERTICES.  64 MiB admits a 32,000-vertex
-# path, 20 times the longest the tests, demos and benchmark read.
+# path, 20 times the longest the tests, demos and benchmark read.  Summed as
+# the edges are read, so a refused file is built up to the limit, never past.
 MAX_MASK_BYTES = 1 << 26
 
 
@@ -93,33 +97,25 @@ def _vertex_count(token: str) -> int:
     return n
 
 
-def _graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph(n, edges), refused unbuilt if its masks would pass MAX_MASK_BYTES.
-
-    The edges are read once and held at 8 bytes each, in a flat array of
-    endpoints, up to the first one Graph rejects (an out-of-range endpoint
-    or a self-loop); that one is kept aside so that Graph still names it.
-    """
+def _bounded(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The edges as read, refused as soon as those so far would need more
+    than MAX_MASK_BYTES of masks: a mask is as long as its vertex's highest
+    neighbor id, which only grows.  Graph checks every edge and names a bad
+    one itself; an edge out of range is passed on unmeasured."""
     top = [-1] * n  # highest neighbor id of each vertex
-    ends = array("i")
-    bad = None
+    bits = 0  # the length of all masks: the sum of top[v] + 1
     for u, v in edges:
         if 0 <= u < n and 0 <= v < n:
             if v > top[u]:
+                bits += v - top[u]
                 top[u] = v
             if u > top[v]:
+                bits += u - top[v]
                 top[v] = u
-            if u != v and bad is None:
-                ends.append(u)
-                ends.append(v)
-                continue
-        if bad is None:
-            bad = (u, v)
-    if (size := (sum(top) + n) // 8) > MAX_MASK_BYTES:
-        raise FormatError(f"graph needs about {size} bytes of adjacency masks, "
-                          f"over the limit of {MAX_MASK_BYTES}")
-    pairs = iter(ends)
-    return Graph(n, chain(zip(pairs, pairs), [bad] if bad else ()))
+            if bits // 8 > MAX_MASK_BYTES:
+                raise FormatError(
+                    f"graph needs more than {MAX_MASK_BYTES} bytes of adjacency masks")
+        yield u, v
 
 
 def _canonical_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int]]:
@@ -144,7 +140,7 @@ def _parse_canonical(header: list[str], lines: Iterator[list[str]]) -> ParsedGra
         raise FormatError(f"header must be 'n m', got {' '.join(header)!r}")
     n = _vertex_count(header[0])
     m = _int(header[1], "edge count")
-    return ParsedGraph(_graph(n, _canonical_edges(lines, m)), tuple(range(n)))
+    return ParsedGraph(Graph(n, _bounded(n, _canonical_edges(lines, m))), tuple(range(n)))
 
 
 def _dimacs_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int]]:
@@ -181,7 +177,7 @@ def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
         raise FormatError(f"header must be 'p edge n m', got {' '.join(tokens)!r}")
     n = _vertex_count(tokens[2])
     m = _int(tokens[3], "edge count")
-    return ParsedGraph(_graph(n, _dimacs_edges(lines, m)), tuple(range(1, n + 1)))
+    return ParsedGraph(Graph(n, _bounded(n, _dimacs_edges(lines, m))), tuple(range(1, n + 1)))
 
 
 def parse_graph(text: str) -> ParsedGraph:

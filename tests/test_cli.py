@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from lkconvex import (
     format_graph,
     generators,
 )
+from lkconvex import formats
 from lkconvex.cli import main
 
 DIMACS_STRIP = """\
@@ -231,6 +235,18 @@ def test_generate_missing_parameter(capsys):
     assert "--n" in err
 
 
+def test_generate_writes_only_what_the_reader_accepts(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "g.txt"
+    assert main(["generate", "path", "--n", str(formats.MAX_VERTICES + 1), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --n")
+    monkeypatch.setattr(formats, "MAX_MASK_BYTES", 4096)  # a 300-vertex path needs 5.6 KB
+    for argv in (["-o", str(out)], []):
+        assert main(["generate", "path", "--n", "300", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert not out.exists()
+
+
 def test_demo_non_hereditary(capsys):
     assert main(["demo-non-hereditary"]) == 0
     out = capsys.readouterr().out
@@ -258,6 +274,33 @@ def test_operational_errors(capsys, tmp_path, strip_file):
     assert main(["interval", strip_file, "--k", "3", "--pair", "0"]) == 2
     assert main(["interval", strip_file, "--k", "3", "--pair", "0,99"]) == 2
     capsys.readouterr()
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_failed_answer_write_exits_2(capsys, monkeypatch, strip_file):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert main(["recognize", strip_file, "--k", "3", "--json"]) == 2
+    assert main(["generate", "triangle-strip7"]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n" * 2
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_answer_to_a_full_device_exits_2(strip_file):
+    src = str(Path(cli.__file__).parent.parent)
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "from lkconvex.cli import main; sys.exit(main(sys.argv[2:]))")
+    argv = ["hull", strip_file, "--k", "3", "--set", "0,6"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", script, src, *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 STRIP_BAD_CERTIFICATES = {

@@ -85,6 +85,8 @@ def test_malformed_canonical():
         parse_graph("3 1\n0 x\n")
     with pytest.raises(FormatError, match="declares 1 edges but file has 2"):
         parse_graph("3 1\n0 x\n1 2\n")  # the count is checked before the lines
+    with pytest.raises(GraphError, match=r"\(0, 5\)"):
+        parse_graph("3 1\n0 5\n1 2\n")  # a bad edge is named where it is read
     with pytest.raises(GraphError):
         parse_graph("3 1\n0 3\n")  # endpoint out of range
     with pytest.raises(GraphError):
@@ -128,6 +130,22 @@ def test_parsing_a_large_file_holds_little_memory(render):
         tracemalloc.stop()
     assert parsed.graph == g
     assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("render", [format_graph, _dimacs_text], ids=["canonical", "dimacs"])
+def test_parsing_holds_no_buffer_per_edge(render):
+    # K600: 179,700 edge lines.  The edges stream straight into the masks;
+    # holding them at 8 bytes each, as an array of endpoints, peaked near 1.9 MB.
+    g = generators.complete(600)
+    text = render(g)
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.graph == g
+    assert peak < 2**20, peak
 
 
 def test_load_graph(tmp_path, strip7):

@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,7 +36,7 @@ from lkconvex import (
     recognize_l2,
 )
 from lkconvex.cli import main
-from lkconvex.formats import MAX_VERTICES
+from lkconvex.formats import MAX_MASK_BYTES, MAX_VERTICES, FormatError, parse_graph
 
 DEEP = sys.getrecursionlimit() + 100
 
@@ -183,6 +184,19 @@ def test_unreadable_or_oversize_file_exits_2(capsys, tmp_path, content, flags):
     code, out, err = _run(["recognize", str(f), "--k", "3", *flags], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_oversize_masks_are_refused_at_the_limit():
+    # The masks are built as the edges are read, and refused once they would
+    # pass the limit: never the 0.6 GB the whole path would need.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"more than {MAX_MASK_BYTES} bytes"):
+            parse_graph(LONG_PATH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_MASK_BYTES + 16 * 2**20, peak
 
 
 # --- the exit-code contract over generated and malformed inputs --------------
