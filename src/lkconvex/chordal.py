@@ -2,9 +2,9 @@
 
 The test runs lexicographic BFS and checks whether the reverse visit order
 is a perfect elimination ordering; on chordal graphs it is, and the order is
-returned as the positive certificate.  When the check fails, an induced
-cycle on at least four vertices is extracted and returned instead, so either
-verdict can be revalidated independently of the algorithm that produced it.
+returned as the positive certificate.  When the check fails, the hole is
+read off the vertex where it failed and returned instead, so either verdict
+can be revalidated independently of the algorithm that produced it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 from itertools import takewhile
 from typing import NamedTuple
 
-from .bits import iter_bits
-from .graph import Graph, HoleWitness, _balls, _is_clique
+from .graph import Graph, HoleWitness, _balls, _missing_pair
 
 
 class ChordalityResult(NamedTuple):
@@ -44,70 +43,70 @@ def lex_bfs(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def is_elimination_ordering(g: Graph, order: tuple[int, ...] | list[int]) -> bool:
-    """True when every vertex's later neighbors form a clique."""
-    if sorted(order) != list(range(g.n)):
-        return False
+def _first_failure(g: Graph, order: tuple[int, ...] | list[int]) -> tuple[int, int, int] | None:
+    """The first v of order whose later neighbours are not a clique, with
+    the lowest of them, u, that misses another and the lowest w that u
+    misses; None when every vertex passes."""
     adj = g._adj
     later = g.full_mask
     for v in order:
         later &= ~(1 << v)
-        if not _is_clique(adj, adj[v] & later):
-            return False
-    return True
-
-
-def find_hole(g: Graph) -> HoleWitness | None:
-    """Search for an induced cycle on four or more vertices.
-
-    For a vertex v with non-adjacent neighbors u, w, any chordless u-w path
-    that avoids the rest of N[v] closes into a hole through v.  A shortest
-    such path in that restricted subgraph is automatically chordless.
-
-    The first (v, u < w) with such a path wins.  Since u and w are
-    nonadjacent, every u-w path avoiding N[v] - {u, w} has all its inner
-    vertices outside N[v], so one exists iff w has a neighbour among the
-    vertices u reaches in G - (N[v] - {u}).  One reach per (v, u) thus
-    answers every w at once, and the first w is the lowest candidate seen.
-
-    The path is the lexicographically first shortest u-w path: from u, step
-    to the lowest-id neighbour in the next smaller ball around w inside
-    G - (N[v] - {u, w}), until w.  Every neighbour there continues a
-    shortest path, so each greedy step is the least that can still finish.
-    A FIFO BFS from u that reads neighbours in ascending order finds the
-    same path through its parent links: by induction on d, it visits layer
-    d in the order of the first shortest paths to its vertices, and each
-    vertex of layer d + 1 takes as parent its first visited neighbour in
-    layer d, the end of the least such path.
-    """
-    adj = g._adj
-    for v in range(g.n):
-        for u in iter_bits(adj[v]):
-            later = adj[v] & ~adj[u] & -(2 << u)  # the candidates w > u
-            if not later:
-                continue
-            outside = ~(adj[v] | 1 << v) | 1 << u  # G - (N[v] - {u})
-            seen = 0  # the neighbours of what u reaches there
-            for x in iter_bits(max(_balls(g, 1 << u, outside))):  # balls only grow
-                seen |= adj[x]
-            if hit := later & seen:
-                w = (hit & -hit).bit_length() - 1
-                inner = takewhile(lambda ball: not ball >> u & 1, _balls(g, 1 << w, outside))
-                path = [u]
-                for ball in reversed(list(inner)):  # the balls around w that miss u
-                    nb = adj[path[-1]] & ball
-                    path.append((nb & -nb).bit_length() - 1)
-                return HoleWitness((v, *path))
+        if pair := _missing_pair(adj, adj[v] & later):
+            return v, *pair
     return None
 
 
+def is_elimination_ordering(g: Graph, order: tuple[int, ...] | list[int]) -> bool:
+    """True when every vertex's later neighbors form a clique."""
+    return sorted(order) == list(range(g.n)) and _first_failure(g, order) is None
+
+
 def is_chordal(g: Graph) -> ChordalityResult:
-    """Decide chordality, returning an elimination order or a hole."""
-    order = lex_bfs(g)
-    peo = tuple(reversed(order))
-    if is_elimination_ordering(g, peo):
+    """Decide chordality, returning an elimination order or a hole.
+
+    The reverse LexBFS order is a perfect elimination ordering exactly when
+    g is chordal (Rose, Tarjan & Lueker).  When it is not, let (v, u, w) be
+    the first failure of the order.  The hole is v closed by the
+    lexicographically first shortest u-w path in G - (N[v] - {u, w}): its
+    inner vertices miss N[v], and a shortest path is chordless, so with v
+    it is an induced cycle on at least four vertices.  From u the path
+    steps to the lowest-id neighbour in the next smaller ball around w,
+    until w; every neighbour there continues a shortest path, so each
+    greedy step is the least that can still finish.
+
+    Such a path exists.  Write p < q when LexBFS visited p before q, and
+    let a < b be u and w in that order, so a < b < v, both are adjacent to
+    v and not to each other.  (*) If p < q < r, pr is an edge and pq is
+    not, then the first vertex s < q adjacent to exactly one of q and r is
+    adjacent to q, and s < p: when q was taken r's label was no larger than
+    q's, p is in r's label and not in q's, so the labels first differ at an
+    earlier s in q's label.  Put t0, t1, t2 = v, b, a, and while t(i+2)
+    misses t(i+1) let t(i+3) be the s of (*) for (t(i+2), t(i+1), t(i)).
+    It is adjacent to t(i+1) and not to t(i), and it precedes every t(j+3)
+    with j < i, so it is adjacent to t(j+1) iff to t(j): down the chain it
+    misses t(i-1), ..., t0 as well.  The visit times fall, so some t(m) is
+    adjacent to t(m-1), and a, t4, t6, ... and b, t3, t5, ... join into an
+    a-b path whose inner vertices t3, ..., t(m) were visited before a and
+    miss N[v].  Tarjan & Yannakakis (SIAM J. Comput. 13, 1984, section 4)
+    prove the same claim for maximum cardinality search.
+
+    The cycle is reported from its lowest vertex, towards the lower of
+    that vertex's two neighbours on it.
+    """
+    peo = tuple(reversed(lex_bfs(g)))
+    failure = _first_failure(g, peo)
+    if failure is None:
         return ChordalityResult(True, peo, None)
-    hole = find_hole(g)
-    if hole is None:
-        raise AssertionError("elimination check failed but no hole was found")
-    return ChordalityResult(False, None, hole)
+    v, u, w = failure
+    adj = g._adj
+    allowed = ~(adj[v] | 1 << v) | 1 << u | 1 << w  # G - (N[v] - {u, w})
+    inner = takewhile(lambda ball: not ball >> u & 1, _balls(g, 1 << w, allowed))
+    cycle = [v, u]
+    for ball in reversed(list(inner)):  # the balls around w that miss u
+        nb = adj[cycle[-1]] & ball
+        cycle.append((nb & -nb).bit_length() - 1)
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    if cycle[-1] < cycle[1]:  # run towards the lower neighbour
+        cycle[1:] = cycle[:0:-1]
+    return ChordalityResult(False, None, HoleWitness(tuple(cycle)))

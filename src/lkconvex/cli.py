@@ -90,7 +90,8 @@ def _check(g: Graph, k: int, cert) -> None:
 
 
 def _labels(parsed: ParsedGraph, vertices) -> list[int]:
-    return sorted(parsed.labels[v] for v in vertices)
+    """The labels of a vertex set, ascending, each once."""
+    return sorted({parsed.labels[v] for v in vertices})
 
 
 def _dashed(seq) -> str:

@@ -163,17 +163,19 @@ def simplicial_mask(g: Graph, within: int | None = None) -> int:
     adj = g._adj
     out = 0
     for x in iter_bits(within):
-        if _is_clique(adj, adj[x] & within):
+        if _missing_pair(adj, adj[x] & within) is None:
             out |= 1 << x
     return out
 
 
-def _is_clique(adj: Sequence[int], nb: int) -> bool:
-    """Whether the vertices of mask nb are pairwise adjacent under adj."""
+def _missing_pair(adj: Sequence[int], nb: int) -> tuple[int, int] | None:
+    """The first nonadjacent pair of the vertices of mask nb under adj: the
+    lowest y that misses another, and the lowest z it misses; None when nb
+    is a clique."""
     for y in iter_bits(nb):
-        if nb & ~(adj[y] | (1 << y)):
-            return False
-    return True
+        if miss := nb & ~(adj[y] | (1 << y)):
+            return y, (miss & -miss).bit_length() - 1
+    return None
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:

@@ -33,7 +33,6 @@ from .graph import (
     InducedPath,
     _balls,
     _induced_walk,
-    contains_induced_path,
     distance,
     is_connected,
     labeller,
@@ -168,7 +167,7 @@ def enumerate_gems(g: Graph, min_n: int = 3) -> Iterator[GemWitness]:
     """
     if min_n < 3:
         raise GraphError(f"gems need a base of at least 3 edges, got min_n={min_n}")
-    if _nested_neighbourhoods(g):  # no induced P4, so no base
+    if _unnested_path(g) is None:  # no induced P4, so no base
         return
     adj = g._adj
     common = [-1] * (g.n + 1)  # common[i]: the vertices adjacent to all of path[:i]
@@ -247,22 +246,27 @@ def solved_gems(g: Graph, min_n: int = 3) -> Iterator[tuple[GemWitness, InducedP
         yield w, path
 
 
-def _nested_neighbourhoods(g: Graph) -> bool:
-    """Every edge uv has N[u] a subset of N[v] or N[v] a subset of N[u].
+def _unnested_path(g: Graph) -> InducedPath | None:
+    """The path x-u-v-y across the first edge uv, u < v in ascending
+    order, whose closed neighbourhoods do not nest, with x and y the lowest
+    vertices of N(u) - N[v] and N(v) - N[u], lower end first; None when
+    every edge has N[u] a subset of N[v] or N[v] a subset of N[u].
 
     These are the graphs with no induced P4 and no induced C4 (Golumbic,
     Trivially perfect graphs, Discrete Math. 24, 1978).  An edge uv fails
     to nest exactly when u has a neighbour x and v a neighbour y that the
     other end misses, and then x-u-v-y is an induced P4, or a C4 when x
-    and y are adjacent.
+    and y are adjacent.  On a chordal graph it is therefore always a P4.
     """
     closed = [a | 1 << v for v, a in enumerate(g._adj)]
     for u, cu in enumerate(closed):
         for v in iter_bits(cu & -(2 << u)):  # the neighbours above u
             both = cu | closed[v]
             if both != cu and both != closed[v]:
-                return False
-    return True
+                xs, ys = both ^ closed[v], both ^ cu  # N(u) - N[v], N(v) - N[u]
+                x, y = (xs & -xs).bit_length() - 1, (ys & -ys).bit_length() - 1
+                return InducedPath((x, u, v, y) if x < y else (y, v, u, x))
+    return None
 
 
 def _hole_verdict(g: Graph) -> RecognitionVerdict | None:
@@ -278,9 +282,7 @@ def recognize_l2(g: Graph) -> RecognitionVerdict:
     """Convex-geometry test for k=2: chordal with no induced four-vertex path."""
     if rejected := _hole_verdict(g):
         return rejected
-    if _nested_neighbourhoods(g):  # chordal and P4-free
-        return RecognitionVerdict(True)
-    p4 = contains_induced_path(g, 4)  # chordal: the failed nesting is a P4
+    p4 = _unnested_path(g)  # chordal, so a failed nesting is a P4
     return RecognitionVerdict(p4 is None, p4)
 
 

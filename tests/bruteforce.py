@@ -184,20 +184,47 @@ def simple_paths(nbrs: dict[int, set[int]], u: int, w: int, allowed) -> list[tup
     return out
 
 
-def brute_find_hole(g: Graph) -> tuple[int, ...] | None:
-    """The hole find_hole defines: the first v, then the first nonadjacent
-    pair u < w of its neighbours joined by a path that avoids N[v] - {u, w},
-    closed through v by the shortest such path, lexicographically smallest
-    among the shortest.  Paths come from enumerating all simple paths."""
+def brute_first_failure(g: Graph) -> tuple[int, int, int] | None:
+    """The first v of the reversed brute_lex_bfs order with two nonadjacent
+    neighbours later in that order, with the least such pair (u, w) in
+    lexicographic order, or None when there is no such v."""
+    order = brute_lex_bfs(g)[::-1]
+    for i, v in enumerate(order):
+        later = sorted(y for y in order[i + 1:] if g.has_edge(v, y))
+        pairs = [(u, w) for u, w in permutations(later, 2) if not g.has_edge(u, w)]
+        if pairs:
+            return (v, *min(pairs))
+    return None
+
+
+def brute_hole(g: Graph, from_w: bool = False) -> tuple[int, ...] | None:
+    """The hole is_chordal defines: brute_first_failure's v closed by the
+    shortest u-w path that avoids N[v] - {u, w}, lexicographically smallest
+    among the shortest (as read from w instead with from_w), and reported
+    as the least of the cycle's rotations and reflections.  Paths come from
+    enumerating all simple paths."""
+    failure = brute_first_failure(g)
+    if failure is None:
+        return None
+    v, u, w = failure
     nbrs = {x: {y for y in range(g.n) if g.has_edge(x, y)} for x in range(g.n)}
-    for v in range(g.n):
-        for u, w in combinations(sorted(nbrs[v]), 2):
-            if w in nbrs[u]:
-                continue
-            allowed = {u, w} | (set(range(g.n)) - nbrs[v] - {v})
-            paths = simple_paths(nbrs, u, w, allowed)
-            if paths:
-                return (v, *min(paths, key=lambda p: (len(p), p)))
+    allowed = {u, w} | (set(range(g.n)) - nbrs[v] - {v})
+    path = min(simple_paths(nbrs, u, w, allowed), key=lambda p: (len(p), p[::-1] if from_w else p))
+    cycle = (v, *path)
+    turns = [cycle[i:] + cycle[:i] for i in range(len(cycle))]
+    return min(turns + [t[::-1] for t in turns])
+
+
+def brute_unnested_path(g: Graph) -> tuple[int, ...] | None:
+    """x-u-v-y across the first edge uv, u < v in lexicographic order, whose
+    closed neighbourhoods do not nest, with x the lowest vertex of
+    N[u] - N[v] and y the lowest of N[v] - N[u], lower end first; None when
+    every edge nests.  Neighbourhoods are sets built from has_edge."""
+    closed = [{x} | {y for y in range(g.n) if g.has_edge(x, y)} for x in range(g.n)]
+    for u, v in combinations(range(g.n), 2):
+        if g.has_edge(u, v) and not (closed[u] <= closed[v] or closed[v] <= closed[u]):
+            x, y = min(closed[u] - closed[v]), min(closed[v] - closed[u])
+            return min((x, u, v, y), (y, v, u, x))
     return None
 
 

@@ -158,14 +158,26 @@ def test_criterion_5_monophonic_limit_is_chordality(connected_upto6):
     t0 = time.perf_counter()
     problems = []
     count = 0
-    for g in connected_upto6:
+    seeded = []
+    for i in range(72):  # 7-18 vertices, chordal and arbitrary by turns
+        n, density = 7 + i % 12, random.Random(50_000 + i).choice((0.1, 0.2, 0.35, 0.6))
+        family = generators.random_connected_chordal if i % 2 else generators.random_connected
+        seeded.append(family(n, density, 50_000 + i))
+    holes = 0
+    for g in connected_upto6 + seeded:
         count += 1
         k = max(2, g.n - 1)
-        if verify_geometry(g, k).is_geometry != is_chordal(g).chordal:
+        ch = is_chordal(g)
+        if verify_geometry(g, k).is_geometry != ch.chordal:
             problems.append(f"mismatch on {g.edges()}")
+        if not ch.chordal:
+            holes += 1
+            if not ch.hole.is_hole_in(g):
+                problems.append(f"bad hole {ch.hole.cycle} on {g.edges()}")
     elapsed = time.perf_counter() - t0
     _report(5, problems, f"k=n-1 geometry verdict equals chordality on "
-            f"{count} connected graphs with up to 6 vertices", elapsed)
+            f"{count} connected graphs ({holes} with checked holes): every one "
+            f"with up to 6 vertices and 72 seeded with 7-18", elapsed)
 
 
 def test_criterion_6_randomized_law_battery():

@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import random
 
-from bruteforce import brute_find_hole, brute_has_hole, brute_lex_bfs
+from bruteforce import brute_first_failure, brute_has_hole, brute_hole, brute_lex_bfs
 from lkconvex import Graph, generators, is_chordal, is_elimination_ordering, lex_bfs
-from lkconvex.chordal import find_hole
 
 
 def test_cycle_has_hole():
@@ -95,6 +94,30 @@ def _hung_cycles(count: int) -> list[Graph]:
     return out
 
 
+def _thetas(count: int) -> list[Graph]:
+    """Seeded 8-16-vertex graphs: two or three routes of 3 or 4 edges joined
+    at their ends, a vertex seeing both ends, a start vertex 0 seeing one
+    inner vertex of each route, and a few hung leaves, relabelled at random
+    with 0 kept.  Routes of equal length give a hole several shortest
+    paths, and LexBFS from 0 reaches the ends' common neighbour last."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        length, routes = rng.randint(3, 4), rng.randint(2, 3)
+        edges, n = [(1, 2), (1, 3)], 4
+        for _ in range(routes):
+            path = [2, *range(n, n + length - 1), 3]
+            n += length - 1
+            edges += list(zip(path, path[1:]))
+            edges.append((0, rng.choice(path[1:-1])))
+        for x in range(n, n + rng.randint(0, 3)):
+            edges.append((x, rng.randrange(1, x)))
+            n = x + 1
+        ids = [0] + rng.sample(range(1, n), n - 1)
+        out.append(Graph(n, [(ids[a], ids[b]) for a, b in edges]))
+    return out
+
+
 def test_find_hole_matches_its_definition(connected_upto6):
     sparse = [
         generators.random_connected(n, density, seed)
@@ -102,12 +125,19 @@ def test_find_hole_matches_its_definition(connected_upto6):
         for density in (0.05, 0.1, 0.2, 0.4)
         for seed in range(12)
     ]
-    hung = _hung_cycles(60)
-    long_holes = 0
-    for g in connected_upto6 + sparse + hung:
-        cycle = brute_find_hole(g)
-        hole = find_hole(g)
+    long_holes = choices = turns = 0
+    for g in connected_upto6 + sparse + _hung_cycles(60) + _thetas(60):
+        cycle = brute_hole(g)
+        hole = is_chordal(g).hole
         assert (hole and hole.cycle) == cycle
-        long_holes += g.n > 6 and cycle is not None and len(cycle) >= 6
+        if cycle is None or g.n <= 6:
+            continue
+        long_holes += len(cycle) >= 6
+        v, u, _ = brute_first_failure(g)
+        order = brute_lex_bfs(g)
+        later = order[: order.index(v)]  # later in the elimination order
+        choices += sum(y != u and g.has_edge(v, y) and not g.has_edge(u, y) for y in later) >= 2
+        turns += brute_hole(g, from_w=True) != cycle
     assert long_holes >= 10
-    assert sum(g.degree(find_hole(g).cycle[0]) >= 4 for g in hung) >= 20  # 30 here
+    assert choices >= 40  # u misses several later neighbours of v: 102 here
+    assert turns >= 10  # the path read from w closes another hole: 16 here

@@ -118,6 +118,15 @@ def test_extremes_non_convex_exits_1(capsys, strip_dimacs):
     assert data["not_convex"]["escaped"] in (2, 5)
 
 
+def test_repeated_set_labels_name_one_vertex(capsys, strip_dimacs):
+    for command in ("hull", "extremes"):
+        argv = [command, strip_dimacs, "--k", "2", "--set", "1,1,3,2"]
+        code, data = run_json(capsys, argv + ["--json"])
+        assert code == 0 and data["set"] == [1, 2, 3]
+        assert main(argv) == 0
+        assert " of 1,2,3:" in capsys.readouterr().out
+
+
 def test_interval_text_output(capsys, strip_file):
     assert main(["interval", strip_file, "--k", "3", "--pair", "0,6"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from bruteforce import brute_distances, brute_gem_count, brute_gem_solved
+from bruteforce import brute_distances, brute_gem_count, brute_gem_solved, brute_unnested_path
 from lkconvex import (
     FarPair,
     GemWitness,
@@ -171,8 +171,13 @@ def test_l2_and_gems_match_p4_walk(small_graph_pool):
     )
     kinds = set()
     for g in pool:
-        walked = walked_l2(g)
-        assert recognize_l2(g) == walked
+        walked, verdict = walked_l2(g), recognize_l2(g)
+        assert verdict.accepted == walked.accepted
+        assert verdict.certificate_kind == walked.certificate_kind
+        if verdict.certificate_kind == "p4":
+            assert verdict.certificate.vertices == brute_unnested_path(g)
+        else:
+            assert verdict == walked
         kinds.add(walked.certificate_kind)
         if contains_induced_path(g, 4) is None:
             assert list(enumerate_gems(g, 3)) == []

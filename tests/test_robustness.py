@@ -3,11 +3,11 @@
 Induced paths longer than the interpreter's recursion limit must be walked
 like short ones, hulls and extreme points of large sets, the lookup of
 many vertex labels, the k=2 test and gem enumeration on a large trivially
-perfect graph and the hole search behind a large star must stay within
-their time budgets, and no input may make the CLI leave the contract:
-exit 0, 1 or 2, with argparse's own SystemExit(2) as the only exception
-allowed to escape main, nothing on stdout with exit 2, and with --json one
-line on stdout holding the one report object.
+perfect graph and the hole behind a large star or at the end of a long
+path must stay within their time budgets, and no input may make the CLI
+leave the contract: exit 0, 1 or 2, with argparse's own SystemExit(2) as
+the only exception allowed to escape main, nothing on stdout with exit 2,
+and with --json one line on stdout holding the one report object.
 """
 
 from __future__ import annotations
@@ -164,6 +164,22 @@ def test_hole_behind_a_large_star(capsys, tmp_path):
         elapsed = time.perf_counter() - t0
         assert code == 1
         assert json.loads(out)["certificate"] == {"kind": "hole", "cycle": [4000, 4001, 4002, 4003]}
+        assert elapsed < 1.0, elapsed
+
+
+def test_hole_at_the_end_of_a_long_path(capsys, tmp_path):
+    # A 4-cycle hangs on the last of 20,000 path vertices: the hole must be
+    # read off the failed elimination check, not searched for from vertex 0.
+    edges = [(v, v + 1) for v in range(19999)]
+    edges += [(19999, 20000), (20000, 20001), (20001, 20002), (20002, 19999)]
+    f = tmp_path / "path.txt"
+    f.write_text(format_graph(Graph(20003, edges)))
+    for k in ("3", "2"):
+        t0 = time.perf_counter()
+        code, out, _ = _run(["recognize", str(f), "--k", k, "--json"], capsys)
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        assert json.loads(out)["certificate"] == {"kind": "hole", "cycle": [19999, 20000, 20001, 20002]}
         assert elapsed < 1.0, elapsed
 
 
