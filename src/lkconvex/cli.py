@@ -43,7 +43,7 @@ from .formats import (
     parse_graph,
 )
 from .geometry import verify_geometry
-from .graph import Graph, GraphError, induced_subgraph
+from .graph import Graph, GraphError, induced_paths_between, induced_subgraph
 from .recognizers import (
     certificate_holds,
     certificate_json,
@@ -87,6 +87,16 @@ def _write(text: str) -> None:
 def _check(g: Graph, k: int, cert) -> None:
     if cert is not None and not certificate_holds(g, k, cert):
         raise _InternalCheckError(f"certificate failed re-validation: {cert!r}")
+
+
+def _check_refusal(g: Graph, k: int, vertices: list[int], exc: NotConvexError) -> None:
+    """Re-check a set's refusal: a pair of distinct vertices of the set with
+    an induced path of at most k edges through the escaped vertex, which is
+    not in the set."""
+    (u, v), x = exc.pair, exc.escaped
+    if not (u != v and u in vertices and v in vertices and x not in vertices
+            and any(x in p.vertices for p in induced_paths_between(g, u, v, k))):
+        raise _InternalCheckError(f"refusal failed re-validation: {exc.pair!r} escapes to {x!r}")
 
 
 def _labels(parsed: ParsedGraph, vertices) -> list[int]:
@@ -196,6 +206,7 @@ def cmd_extremes(args: argparse.Namespace, parsed: ParsedGraph) -> tuple[int, di
     try:
         fields["extremes"] = _labels(parsed, extreme_points(g, args.k, seed_ids))
     except NotConvexError as exc:
+        _check_refusal(g, args.k, seed_ids, exc)
         u, v = exc.pair
         fields["not_convex"] = {
             "pair": [parsed.labels[u], parsed.labels[v]],

@@ -11,13 +11,15 @@ Parsing keeps the vertex labels as they appeared in the file, so reports
 can speak the caller's language; internally everything is 0-based.
 
 A file is read in one pass, its edges streamed into Graph, which checks
-each of them once; a bad edge, or masks that would pass MAX_MASK_BYTES,
-are reported where they are read.
+each of them once.  Each dialect's reader turns lines into 0-based pairs
+and refuses the first malformed one; one stage bounds the masks and counts
+the edges for both.  So every fault is reported where it is read, and a
+wrong edge count after the last edge.  Parsed labels are ranges.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -42,20 +44,14 @@ class FormatError(ValueError):
 
 class ParsedGraph(NamedTuple):
     graph: Graph
-    labels: tuple[int, ...]
+    labels: Sequence[int]
 
     def label_of(self, vertex: int) -> int:
         return self.labels[vertex]
 
     def vertex_of(self, label: int) -> int:
-        # Parsed labels are consecutive, so a label's offset from the first
-        # is its vertex; a hand-built label tuple falls back to a scan.
-        labels = self.labels
-        i = label - labels[0] if labels else -1
-        if 0 <= i < len(labels) and labels[i] == label:
-            return i
         try:
-            return labels.index(label)
+            return self.labels.index(label)  # O(1) on the range of a parsed file
         except ValueError:
             raise FormatError(f"unknown vertex label {label}") from None
 
@@ -97,14 +93,16 @@ def _vertex_count(token: str) -> int:
     return n
 
 
-def _bounded(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     """The edges as read, refused as soon as those so far would need more
-    than MAX_MASK_BYTES of masks: a mask is as long as its vertex's highest
-    neighbor id, which only grows.  Graph checks every edge and names a bad
-    one itself; an edge out of range is passed on unmeasured."""
+    than MAX_MASK_BYTES of masks (a mask is as long as its vertex's highest
+    neighbor id, which only grows), and after the last one unless there
+    were m of them.  Graph checks every edge and names a bad one itself; an
+    edge out of range is passed on unmeasured."""
     top = [-1] * n  # highest neighbor id of each vertex
     bits = 0  # the length of all masks: the sum of top[v] + 1
-    for u, v in edges:
+    read = 0
+    for read, (u, v) in enumerate(edges, 1):
         if 0 <= u < n and 0 <= v < n:
             if v > top[u]:
                 bits += v - top[u]
@@ -116,23 +114,15 @@ def _bounded(n: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, in
                 raise FormatError(
                     f"graph needs more than {MAX_MASK_BYTES} bytes of adjacency masks")
         yield u, v
-
-
-def _canonical_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int]]:
-    read, fault = 0, None
-    for tokens in lines:
-        read += 1
-        if fault is None:  # a wrong edge count is reported before a bad line
-            try:
-                if len(tokens) != 2:
-                    raise FormatError(f"edge line must be 'u v', got {' '.join(tokens)!r}")
-                yield _endpoints(tokens[0], tokens[1])
-            except FormatError as exc:
-                fault = exc
     if read != m:
         raise FormatError(f"header declares {m} edges but file has {read} edge lines")
-    if fault is not None:
-        raise fault
+
+
+def _canonical_edges(lines: Iterator[list[str]]) -> Iterator[tuple[int, int]]:
+    for tokens in lines:
+        if len(tokens) != 2:
+            raise FormatError(f"edge line must be 'u v', got {' '.join(tokens)!r}")
+        yield _endpoints(tokens[0], tokens[1])
 
 
 def _parse_canonical(header: list[str], lines: Iterator[list[str]]) -> ParsedGraph:
@@ -140,11 +130,10 @@ def _parse_canonical(header: list[str], lines: Iterator[list[str]]) -> ParsedGra
         raise FormatError(f"header must be 'n m', got {' '.join(header)!r}")
     n = _vertex_count(header[0])
     m = _int(header[1], "edge count")
-    return ParsedGraph(Graph(n, _bounded(n, _canonical_edges(lines, m))), tuple(range(n)))
+    return ParsedGraph(Graph(n, _bounded(n, m, _canonical_edges(lines))), range(n))
 
 
-def _dimacs_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int]]:
-    read = 0
+def _dimacs_edges(lines: Iterator[list[str]]) -> Iterator[tuple[int, int]]:
     for tokens in lines:
         tag = tokens[0].lower()
         if tag == "c":
@@ -155,11 +144,8 @@ def _dimacs_edges(lines: Iterator[list[str]], m: int) -> Iterator[tuple[int, int
             raise FormatError(f"unrecognized line tag {tokens[0]!r}")
         if len(tokens) != 3:
             raise FormatError(f"edge line must be 'e u v', got {' '.join(tokens)!r}")
-        read += 1
         u, v = _endpoints(tokens[1], tokens[2])
         yield u - 1, v - 1
-    if read != m:
-        raise FormatError(f"header declares {m} edges but file has {read} edge lines")
 
 
 def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
@@ -177,7 +163,7 @@ def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
         raise FormatError(f"header must be 'p edge n m', got {' '.join(tokens)!r}")
     n = _vertex_count(tokens[2])
     m = _int(tokens[3], "edge count")
-    return ParsedGraph(Graph(n, _bounded(n, _dimacs_edges(lines, m))), tuple(range(1, n + 1)))
+    return ParsedGraph(Graph(n, _bounded(n, m, _dimacs_edges(lines))), range(1, n + 1))
 
 
 def parse_graph(text: str) -> ParsedGraph:

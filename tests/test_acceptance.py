@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from bruteforce import is_clique, subsets
 from lkconvex import (
     diameter,
@@ -178,6 +180,29 @@ def test_criterion_5_monophonic_limit_is_chordality(connected_upto6):
     _report(5, problems, f"k=n-1 geometry verdict equals chordality on "
             f"{count} connected graphs ({holes} with checked holes): every one "
             f"with up to 6 vertices and 72 seeded with 7-18", elapsed)
+
+
+@pytest.mark.slow
+def test_criterion_5_monophonic_limit_past_18_vertices():
+    t0 = time.perf_counter()
+    problems = []
+    count = holes = 0
+    for i in range(16):  # 19-22 vertices, chordal and arbitrary by turns
+        n, density = 19 + i // 4, random.Random(60_000 + i).choice((0.1, 0.2, 0.35, 0.6))
+        family = generators.random_connected_chordal if i % 2 else generators.random_connected
+        g = family(n, density, 60_000 + i)
+        count += 1
+        ch = is_chordal(g)
+        if verify_geometry(g, n - 1).is_geometry != ch.chordal:
+            problems.append(f"mismatch on {g.edges()}")
+        if not ch.chordal:
+            holes += 1
+            if not ch.hole.is_hole_in(g):
+                problems.append(f"bad hole {ch.hole.cycle} on {g.edges()}")
+    elapsed = time.perf_counter() - t0
+    _report(5, problems, f"k=n-1 geometry verdict equals chordality on {count} "
+            f"seeded connected graphs with 19-22 vertices ({holes} with checked holes)",
+            elapsed)
 
 
 def test_criterion_6_randomized_law_battery():

@@ -353,6 +353,25 @@ def test_oracle_refuses_failing_certificate(capsys, monkeypatch, tmp_path, name,
     assert captured.err.startswith("internal error:")
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("labels,pair,escaped", [
+    ("0,1,2", (0, 1), 2),  # the escaped vertex is in the set; 0-1 is an edge
+    ("0,6", (0, 0), 1),  # one vertex is not a pair
+    ("0,6", (0, 1), 4),  # 1 is not in the set
+    ("0,6", (0, 6), 2),  # every induced 0-6 path through 2 has 4 edges
+])
+def test_extremes_refuses_failing_refusal(capsys, monkeypatch, strip_file, labels, pair,
+                                          escaped, flags):
+    def refuse(g, k, vertices):
+        raise cli.NotConvexError(pair, escaped)
+
+    monkeypatch.setattr(cli, "extreme_points", refuse)
+    assert main(["extremes", strip_file, "--k", "3", "--set", labels, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
 def test_usage_error_exits_2(strip_file):
     with pytest.raises(SystemExit) as info:
         main(["recognize", strip_file, "--k", "7"])

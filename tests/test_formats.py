@@ -36,14 +36,14 @@ e 3 4
 def test_parse_canonical():
     parsed = parse_graph(CANONICAL)
     assert parsed.graph.n == 3 and parsed.graph.m == 2
-    assert parsed.labels == (0, 1, 2)
+    assert parsed.labels == range(3)
     assert parsed.graph.edges() == [(0, 1), (1, 2)]
 
 
 def test_parse_dimacs():
     parsed = parse_graph(DIMACS)
     assert parsed.graph.n == 4 and parsed.graph.m == 4
-    assert parsed.labels == (1, 2, 3, 4)
+    assert parsed.labels == range(1, 5)
     assert parsed.graph.has_edge(0, 1)  # file edge 'e 1 2'
     assert parsed.label_of(0) == 1
     assert parsed.vertex_of(4) == 3
@@ -57,6 +57,14 @@ def test_vertex_of_hand_built_labels():
     assert [parsed.vertex_of(label) for label in (5, 9, 2)] == [0, 1, 2]
     for label in (6, 7, 3):
         with pytest.raises(FormatError):
+            parsed.vertex_of(label)
+
+
+def test_vertex_of_parsed_range():
+    parsed = parse_graph(CANONICAL)
+    assert [parsed.vertex_of(label) for label in (0, 1, 2)] == [0, 1, 2]
+    for label in (3, -1, 10**30):
+        with pytest.raises(FormatError, match="unknown vertex label"):
             parsed.vertex_of(label)
 
 
@@ -83,8 +91,8 @@ def test_malformed_canonical():
         parse_graph("3 1\n0 1\n1 2\n")  # extra edge line
     with pytest.raises(FormatError):
         parse_graph("3 1\n0 x\n")
-    with pytest.raises(FormatError, match="declares 1 edges but file has 2"):
-        parse_graph("3 1\n0 x\n1 2\n")  # the count is checked before the lines
+    with pytest.raises(FormatError, match="expected an integer endpoint, got 'x'"):
+        parse_graph("3 1\n0 x\n1 2\n")  # a bad line is named before the count
     with pytest.raises(GraphError, match=r"\(0, 5\)"):
         parse_graph("3 1\n0 5\n1 2\n")  # a bad edge is named where it is read
     with pytest.raises(GraphError):
@@ -109,6 +117,55 @@ def test_malformed_dimacs():
         parse_graph("p edge 3 1\nq 1 2\n")
     with pytest.raises(FormatError, match="exceeds the limit"):
         parse_graph("p edge 100000000000 0\n")  # refused before allocating
+
+
+def _twins(n: int, m: int, lines: list[str]) -> tuple[str, str]:
+    """A canonical file and its DIMACS twin: the same header and edge lines,
+    with each integer endpoint shifted to 1-based."""
+    def shift(token: str) -> str:
+        return str(int(token) + 1) if token.isdigit() else token
+
+    canonical = f"{n} {m}\n" + "".join(f"{line}\n" for line in lines)
+    dimacs = f"p edge {n} {m}\n" + "".join(
+        "e " + " ".join(shift(t) for t in line.split()) + "\n" for line in lines)
+    return canonical, dimacs
+
+
+# Each defect sits on the second of three edge lines; both dialects must name
+# it there, even when the header's edge count is also wrong.
+ENDPOINT = "expected an integer endpoint, got 'x'"
+PARITY = {  # declared edge count, edge lines, error, canonical and DIMACS message
+    "token count": (3, ["0 1", "1 2 3", "2 3"], FormatError,
+                    "edge line must be 'u v', got '1 2 3'",
+                    "edge line must be 'e u v', got 'e 2 3 4'"),
+    "endpoint": (3, ["0 1", "1 x", "2 3"], FormatError, ENDPOINT, ENDPOINT),
+    "edge count": (4, ["0 1", "1 2", "2 3"], FormatError,
+                   *["header declares 4 edges but file has 3 edge lines"] * 2),
+    "endpoint and edge count": (4, ["0 1", "1 x", "2 3"], FormatError, ENDPOINT, ENDPOINT),
+    "bad edge and edge count": (4, ["0 1", "1 9", "2 3"], GraphError,
+                                *["edge (1, 9) out of range for n=4"] * 2),
+}
+
+
+@pytest.mark.parametrize("defect", list(PARITY))
+def test_dialects_refuse_the_same_defect_alike(defect):
+    m, lines, error, *messages = PARITY[defect]
+    for text, message in zip(_twins(4, m, lines), messages):
+        with pytest.raises(error) as info:
+            parse_graph(text)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_parsing_many_vertices_holds_no_label_per_vertex():
+    # Labels are a range; a tuple of 100,000 labels peaked at 4.57 MiB.
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(f"{MAX_VERTICES} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.graph.n == MAX_VERTICES
+    assert peak < 2.5 * 2**20, peak
 
 
 def _dimacs_text(g) -> str:
