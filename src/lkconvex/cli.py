@@ -37,10 +37,10 @@ from .formats import (
     MAX_VERTICES,
     FormatError,
     ParsedGraph,
+    check_readable,
     format_graph,
     format_vertex_set,
     load_graph,
-    parse_graph,
 )
 from .geometry import verify_geometry
 from .graph import Graph, GraphError, induced_paths_between, induced_subgraph
@@ -326,11 +326,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if "n" in needed and args.n > MAX_VERTICES:
         raise FormatError(f"--n {args.n} exceeds the vertex limit of {MAX_VERTICES}")
     g = spec[1](args)
+    check_readable(g)  # write nothing that the reading commands would refuse
     pieces = [f"family={args.family}"]
     for field in needed:
         pieces.append(f"{field}={getattr(args, field)}")
     text = format_graph(g, comment=" ".join(pieces))
-    parse_graph(text)  # write nothing that the reading commands would refuse
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {g.n} vertices / {g.m} edges to {args.output}", file=sys.stderr)

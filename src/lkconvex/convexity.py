@@ -11,8 +11,10 @@ subgraph induced by S, and extreme_points answers by that test.
 Every operator computes each pair interval it needs once.  A hull step
 is built from segments between vertices of the set: one induced-path walk
 from each vertex the previous step added, through vertices outside the
-set, to the rest of the set.  A pair interval is the one-pair case of that
-step, and the iteration stops early at V, which is convex.  The convex-set
+set, to the rest of the set, and the iteration stops early at V, which is
+convex.  A pair interval at k = 2 or 3 has a closed form read off the
+neighbourhood masks of the pair and of N(u); at k >= 4 it is the one-pair
+case of the hull step.  The convex-set
 enumeration, shared with the geometry oracle, is a subset scan over a span
 table: each subset's union of pair intervals is read off two smaller
 subsets and one pair, so no subset re-tests its pairs.  The table has one
@@ -29,7 +31,15 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .bits import iter_bits, mask_of, set_of
-from .graph import Graph, GraphError, _balls, _induced_walk, labeller, simplicial_mask
+from .graph import (
+    Graph,
+    GraphError,
+    _balls,
+    _induced_walk,
+    _three_edge_middles,
+    labeller,
+    simplicial_mask,
+)
 
 # The one size bound of the subset scan, which keeps one span-table entry per
 # subset, 2^n in all.  At 22 vertices that is about 4M entries; the complete
@@ -130,12 +140,34 @@ def _hull_masks(g: Graph, k: int, smask: int) -> list[int]:
 
 
 def _interval_mask(g: Graph, k: int, u: int, v: int) -> int:
-    """I[u,v] for u != v: the one-pair step, a walk from u pruned by the
-    balls around v."""
+    """I[u,v] for u != v.
+
+    An adjacent pair has no other induced path: any longer u-v path has the
+    chord uv.  So let u and v be nonadjacent.  Their induced paths with two
+    edges are u-w-v for w in N(u) & N(v), each induced because uv is not an
+    edge, and there is none shorter.  So at k = 2, I[u,v] = {u, v} plus
+    N(u) & N(v).  That also covers the clamped k = 1 of a 2-vertex graph,
+    where no third vertex, hence no common neighbour, exists.
+
+    At k = 3 the induced paths with three edges join in.  A path u-b-c-v
+    is induced exactly when b is in A = N(u) - N[v], c in C = N(v) - N[u]
+    and bc is an edge (_three_edge_middles).  So I[u,v] gains each b of A
+    with a neighbour in C, and those neighbours: O(deg u) mask operations.
+
+    At k >= 4 it is the one-pair step, a walk from u pruned by the balls
+    around v.
+    """
+    adj = g._adj
     pair = 1 << u | 1 << v
-    if g._adj[u] >> v & 1:
+    if adj[u] >> v & 1:
         return pair
-    return _step(g, k, pair, pair)
+    if k > 3:
+        return _step(g, k, pair, pair)
+    out = pair | adj[u] & adj[v]
+    if k == 3:
+        for b, cs in _three_edge_middles(adj, u, v):
+            out |= 1 << b | cs
+    return out
 
 
 def _set_mask(g: Graph, vertices: Iterable[int]) -> int:

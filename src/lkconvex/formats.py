@@ -88,9 +88,28 @@ def _endpoints(a: str, b: str) -> tuple[int, int]:
 
 def _vertex_count(token: str) -> int:
     n = _int(token, "vertex count")
+    _check_vertex_count(n)
+    return n
+
+
+def _check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
         raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-    return n
+
+
+def _check_mask_bits(bits: int) -> None:
+    """Refuse masks that are bits long in all if they exceed MAX_MASK_BYTES."""
+    if bits // 8 > MAX_MASK_BYTES:
+        raise FormatError(f"graph needs more than {MAX_MASK_BYTES} bytes of adjacency masks")
+
+
+def check_readable(g: Graph) -> None:
+    """Raise FormatError unless parse_graph would accept g's canonical text:
+    it refuses the same vertex count and the same mask size (g's masks are
+    as long as _bounded measures them).  The edge count and the edges of
+    format_graph's text are g's own, so nothing else can fail."""
+    _check_vertex_count(g.n)
+    _check_mask_bits(sum(a.bit_length() for a in g._adj))
 
 
 def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -110,9 +129,7 @@ def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple
             if u > top[v]:
                 bits += u - top[v]
                 top[v] = u
-            if bits // 8 > MAX_MASK_BYTES:
-                raise FormatError(
-                    f"graph needs more than {MAX_MASK_BYTES} bytes of adjacency masks")
+            _check_mask_bits(bits)
         yield u, v
     if read != m:
         raise FormatError(f"header declares {m} edges but file has {read} edge lines")

@@ -110,11 +110,15 @@ def _balls(g: Graph, start: int, within: int = -1) -> Iterator[int]:
     """Yield the masks of the vertices within 0, 1, 2, ... steps of the mask
     start in the subgraph induced by within plus start (all of g by default);
     the last one is everything start reaches there, and the balls stop as
-    soon as they stop growing."""
+    soon as they stop growing, or at once when a ball holds all of within
+    plus start, whose next frontier must be empty."""
     adj = g._adj
+    whole = (within | start) & g.full_mask
     ball = frontier = start
     while frontier:
         yield ball
+        if ball == whole:
+            return
         nxt = 0
         for x in iter_bits(frontier):
             nxt |= adj[x]
@@ -220,6 +224,19 @@ def _adjacent_exactly_in_order(g: Graph, vs: tuple[int, ...], cyclic: bool) -> b
         if g._adj[x] & on != (1 << ends[i] | 1 << ends[i + 2]) & ~(1 << x):
             return False
     return True
+
+
+def _three_edge_middles(adj: Sequence[int], u: int, v: int) -> Iterator[tuple[int, int]]:
+    """The middles of the induced 3-edge u-v paths, for nonadjacent u and v:
+    each b of A = N(u) - N[v] with a neighbour in C = N(v) - N[u], in
+    ascending order, with the mask of those neighbours.  The paths are
+    exactly u-b-c-v for such b and c: u-b, b-c and c-v are edges, and the
+    three non-consecutive pairs u-c, b-v and u-v are not, which is what
+    b in A, c in C and u, v nonadjacent say."""
+    far = adj[v] & ~adj[u]  # C: u is not in N(v)
+    for b in iter_bits(adj[u] & ~adj[v]):  # A: v is not in N(u)
+        if cs := adj[b] & far:
+            yield b, cs
 
 
 def _induced_walk(g: Graph, start: int, prune: Callable[[list[int], int], int]) -> Iterator[list[int]]:

@@ -33,6 +33,7 @@ from .graph import (
     InducedPath,
     _balls,
     _induced_walk,
+    _three_edge_middles,
     distance,
     is_connected,
     labeller,
@@ -196,15 +197,14 @@ def _solving_path(adj: list[int], x0: int, xn: int) -> InducedPath | None:
     for nonadjacent x0 and xn.
 
     Such a path is x0-b-c-xn with b in N(x0) minus N[xn] and c in N(b) and
-    N(xn) minus N[x0].  Only adj[x0], adj[xn] and adj[b] are read.  A gem's
-    apex sees both base ends, so it is never b or c: the path avoids the
-    apex of every gem on these ends, and whether a gem is solved, and by
-    which path, is a function of its end pair alone.
+    N(xn) minus N[x0]; the first b that _three_edge_middles yields, with
+    its lowest c, gives the first path.  Only adj[x0], adj[xn] and adj[b]
+    are read.  A gem's apex sees both base ends, so it is never b or c: the
+    path avoids the apex of every gem on these ends, and whether a gem is
+    solved, and by which path, is a function of its end pair alone.
     """
-    last = adj[xn] & ~adj[x0]  # N(xn) minus N[x0]: x0 and xn are nonadjacent
-    for b in iter_bits(adj[x0] & ~adj[xn]):
-        if c := adj[b] & last:
-            return InducedPath((x0, b, (c & -c).bit_length() - 1, xn))
+    for b, cs in _three_edge_middles(adj, x0, xn):
+        return InducedPath((x0, b, (cs & -cs).bit_length() - 1, xn))
     return None
 
 

@@ -15,6 +15,7 @@ from bruteforce import (
     subsets,
 )
 from lkconvex import (
+    Graph,
     GraphError,
     NotConvexError,
     SizeCapError,
@@ -26,8 +27,11 @@ from lkconvex import (
     induced_paths_between,
     interval,
     interval_of_set,
+    is_chordal,
     is_convex,
 )
+from lkconvex.bits import iter_bits, set_of
+from lkconvex.convexity import _interval_mask, _step, effective_k
 
 # the nine convex sets of the strip that are neither cliques nor trivial
 STRIP_LADDERS = [
@@ -90,6 +94,49 @@ def test_interval_monotone_in_k(small_graph_pool):
                     cur = interval(g, k, u, v)
                     assert prev <= cur
                     prev = cur
+
+
+def _walked_pairs(g, k):
+    """(u, v, I[u,v] by the kernel, I[u,v] by the segment walk) for each
+    nonadjacent pair u < v, at k clamped as interval clamps it."""
+    k = effective_k(g, k)
+    for u in range(g.n):
+        for v in iter_bits(g.full_mask & ~g._adj[u] & -(2 << u)):
+            pair = 1 << u | 1 << v
+            yield u, v, _interval_mask(g, k, u, v), _step(g, k, pair, pair)
+
+
+def test_pair_interval_kernel_matches_walk_exhaustively(connected_upto6):
+    pairs = 0
+    for g in connected_upto6:
+        for k in (2, 3):
+            for u, v, got, walked in _walked_pairs(g, k):
+                assert got == walked, (g.edges(), k, u, v)
+                pairs += 1
+    assert pairs == 379_174  # twice the nonadjacent pairs
+    # the clamped k = 1 of a 2-vertex graph, whose pair is nonadjacent
+    assert _interval_mask(Graph(2), 1, 0, 1) == 0b11
+    assert interval(Graph(2), 3, 0, 1) == {0, 1}
+
+
+def test_pair_interval_kernel_on_seeded_chordal_and_holed_graphs():
+    rng = random.Random(18)
+    graphs = []
+    for i in range(40):
+        n = 7 + i * 33 // 39  # 7..40 vertices
+        graphs.append(generators.random_connected_chordal(n, (0.3, 0.6, 0.9)[i % 3], i))
+        graphs.append(generators.random_connected(n, 2.5 / n + 0.1 * (i % 3), i))
+    assert sum(not is_chordal(g).chordal for g in graphs) >= 40
+    grew = 0
+    for g in graphs:
+        for k in (2, 3):
+            pairs = list(_walked_pairs(g, k))
+            for u, v, got, walked in pairs:
+                assert got == walked, (g.edges(), k, u, v)
+                grew += k == 3 and got != _interval_mask(g, 2, u, v)
+            for u, v, got, _ in rng.sample(pairs, min(3, len(pairs))):
+                assert set_of(got) == brute_interval(g, k, u, v), (g.edges(), k, u, v)
+    assert grew >= 1000  # pairs whose induced 3-edge paths add vertices
 
 
 def test_interval_of_set(strip7):

@@ -13,7 +13,8 @@ from lkconvex import (
     load_graph,
     parse_graph,
 )
-from lkconvex.formats import MAX_VERTICES, ParsedGraph
+from lkconvex import formats
+from lkconvex.formats import MAX_VERTICES, ParsedGraph, check_readable
 
 CANONICAL = """\
 # a comment
@@ -203,6 +204,30 @@ def test_parsing_holds_no_buffer_per_edge(render):
         tracemalloc.stop()
     assert parsed.graph == g
     assert peak < 2**20, peak
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except FormatError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_readable_refuses_what_the_reader_refuses(monkeypatch):
+    graphs = [generators.path(140), generators.complete(40), generators.star(200), generators.gem(90)]
+    full = formats.MAX_MASK_BYTES
+    monkeypatch.setattr(formats, "MAX_VERTICES", 150)
+    refused = set()
+    for g in graphs:
+        text = format_graph(g)
+        bytes_ = sum(a.bit_length() for a in g._adj) // 8
+        for limit in (0, bytes_ - 1, bytes_, full):
+            monkeypatch.setattr(formats, "MAX_MASK_BYTES", limit)
+            want = _refusal(parse_graph, text)
+            assert _refusal(check_readable, g) == want, (g, limit)
+            refused.add(want and want.split()[0])
+    assert refused == {None, "vertex", "graph"}
 
 
 def test_load_graph(tmp_path, strip7):

@@ -109,6 +109,38 @@ def test_balls_within_match_bruteforce(small_graph_pool):
                 assert got == [layers[d] for d in range(len(layers))]
 
 
+def _plain_balls(g, start, within):
+    """The balls of a layer-by-layer BFS that runs until a frontier is empty."""
+    out = []
+    ball = frontier = start
+    while frontier:
+        out.append(ball)
+        nxt = 0
+        for x in range(g.n):
+            if frontier >> x & 1:
+                nxt |= g._adj[x]
+        frontier = nxt & within & ~ball
+        ball |= frontier
+    return out
+
+
+def test_balls_match_a_plain_bfs(small_graph_pool):
+    rng = random.Random(18)
+    graphs = small_graph_pool + [Graph(5, [(0, 1), (2, 3), (3, 4)])]
+    for i in range(24):
+        n = 7 + i * 33 // 23
+        graphs.append(generators.random_connected(n, 2.0 / n, i))
+        graphs.append(generators.random_connected_chordal(n, 0.5, i))
+    for g in graphs:
+        withins = [-1, g.full_mask] + [rng.getrandbits(g.n) for _ in range(4)]
+        withins += [~rng.getrandbits(g.n) for _ in range(2)]  # as a hull step passes it
+        for within in withins:
+            for start in [1 << rng.randrange(g.n)] + [rng.getrandbits(g.n) or 1 for _ in range(3)]:
+                assert list(_balls(g, start, within)) == _plain_balls(g, start, within), (
+                    g.edges(), start, within,
+                )
+
+
 def test_connectivity():
     assert is_connected(generators.path(5))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))

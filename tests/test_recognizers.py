@@ -17,6 +17,7 @@ from lkconvex import (
     enumerate_gems,
     generators,
     induced_subgraph,
+    interval,
     is_chordal,
     is_gem_solved,
     necessary_conditions,
@@ -25,6 +26,7 @@ from lkconvex import (
     solved_gems,
 )
 from lkconvex import recognizers
+from lkconvex.bits import set_of
 
 
 def augmented_gem4() -> Graph:
@@ -121,6 +123,23 @@ def test_gem_solver_matches_reference(small_graph_pool):
             outcomes.add(solved)
         assert list(solved_gems(g, 3)) == [(w, is_gem_solved(g, w)[1]) for w in enumerate_gems(g, 3)]
     assert outcomes == {True, False}
+
+
+def test_gem_is_solved_iff_its_end_interval_leaves_the_common_neighbours():
+    # The l^3 interval of the base ends is the l^2 one, the ends and their
+    # common neighbours, plus the middles of the induced 3-edge paths, each
+    # of which misses an end.
+    gems = unsolved = 0
+    for seed in range(30):
+        g = generators.random_connected_chordal(12 + seed % 10, 0.9, seed)
+        adj = g._adj
+        for w, path in solved_gems(g, 3):
+            x0, xn = w.base.vertices[0], w.base.vertices[-1]
+            near = {x0, xn} | set_of(adj[x0] & adj[xn])
+            assert (path is not None) == bool(interval(g, 3, x0, xn) - near), w
+            gems += 1
+            unsolved += path is None
+    assert gems == 5152 and unsolved == 216
 
 
 def test_recognizer_solves_each_end_pair_once(monkeypatch):
