@@ -21,9 +21,11 @@ import os
 import random
 import sys
 import time
+from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
 
-from . import generators
+from . import formats, generators
 from .convexity import (
     MAX_SCAN_N,
     NotConvexError,
@@ -34,12 +36,12 @@ from .convexity import (
     interval,
 )
 from .formats import (
-    MAX_VERTICES,
     FormatError,
     ParsedGraph,
     check_readable,
     format_graph,
     format_vertex_set,
+    graph_lines,
     load_graph,
 )
 from .geometry import verify_geometry
@@ -323,20 +325,33 @@ def cmd_generate(args: argparse.Namespace) -> int:
     for field in needed:
         if getattr(args, field) is None:
             raise FormatError(f"family {args.family!r} needs --{field}")
-    if "n" in needed and args.n > MAX_VERTICES:
-        raise FormatError(f"--n {args.n} exceeds the vertex limit of {MAX_VERTICES}")
+    if "n" in needed:
+        # gem(n) has n + 1 base vertices and an apex
+        count = args.n + 2 if args.family == "gem" else args.n
+        if count > formats.MAX_VERTICES:
+            built = "" if count == args.n else f" ({count} vertices)"
+            raise FormatError(f"--n {args.n}{built} exceeds the vertex limit of {formats.MAX_VERTICES}")
     g = spec[1](args)
     check_readable(g)  # write nothing that the reading commands would refuse
     pieces = [f"family={args.family}"]
     for field in needed:
         pieces.append(f"{field}={getattr(args, field)}")
-    text = format_graph(g, comment=" ".join(pieces))
+    chunks = _chunks(graph_lines(g, comment=" ".join(pieces)))
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as fh:
+            fh.writelines(chunks)
         print(f"wrote {g.n} vertices / {g.m} edges to {args.output}", file=sys.stderr)
     else:
-        _write(text)
+        for chunk in chunks:
+            _write(chunk)
     return 0
+
+
+def _chunks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines joined into text 4096 lines at a time, each ending in a newline."""
+    while batch := list(islice(lines, 4096)):
+        batch.append("")
+        yield "\n".join(batch)
 
 
 def cmd_demo_non_hereditary(args: argparse.Namespace) -> tuple[int, dict]:

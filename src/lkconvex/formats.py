@@ -24,6 +24,7 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
+from .bits import iter_bits
 from .graph import Graph
 
 # Largest vertex count a file may declare.  Graph allocates per vertex up
@@ -202,14 +203,21 @@ def load_graph(path: str | Path) -> ParsedGraph:
     return parse_graph(text)
 
 
+def graph_lines(g: Graph, comment: str | None = None) -> Iterator[str]:
+    """The lines of g's canonical text, without their newlines: an optional
+    comment, the header, then each edge u < v in ascending order, read off
+    the adjacency masks one edge at a time."""
+    if comment:
+        yield f"# {comment}"
+    yield f"{g.n} {g.m}"
+    for u, nb in enumerate(g._adj):
+        for v in iter_bits(nb >> u + 1):
+            yield f"{u} {u + 1 + v}"
+
+
 def format_graph(g: Graph, comment: str | None = None) -> str:
     """Canonical text for a graph, with an optional leading comment."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{g.n} {g.m}")
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "\n".join(graph_lines(g, comment)) + "\n"
 
 
 def format_vertex_set(vertices: Iterable[int]) -> str:

@@ -8,13 +8,14 @@ holding the convex set, its extreme points, and the hull those extremes
 actually generate.  Exponential by design: it is the ground truth the
 structural recognizers are validated against, so it stays brute force.
 
-The scan (convexity.scan_convex) fills a span table: span[S] is the union
-of the pair intervals of S, built from two smaller subsets and one pair, and
-S is convex when span[S] == S.  A convex S then reads its extreme points
-off the table by their definition (S - x convex), and the replay iterates
-span from them; every set read lies inside S, so it is already filled.
-The table has 2^n entries, so graphs above convexity.MAX_SCAN_N (22)
-vertices are refused.
+convexity.span_table builds three tables over every subset at once: span[S],
+the union of the pair intervals of S, so S is convex when span[S] == S;
+ext[S], the x of a convex S with S - x convex, its extreme points by their
+definition; and a key giving each convex set's size.  scan_convex walks the
+convex sets in the order above off the key, and the replay iterates span
+from ext[S].  The tables index the graph with its ids reversed, so a
+certificate is mapped back to the graph's ids.  They have 2^n lanes, so
+graphs above convexity.MAX_SCAN_N (22) vertices are refused.
 
 mkm_check_set checks one set with the public operators instead, taking
 extreme_points for its extremes and the hull they generate; sharing only
@@ -27,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bits import set_of
+from .bits import reverse_bits, set_of
 from .convexity import MAX_SCAN_N, extreme_points, hull, scan_convex, span_table
 from .graph import Graph, GraphError, is_connected, labeller
 
@@ -66,26 +67,6 @@ class MkmCheck(NamedTuple):
     hull_of_extremes: frozenset[int]
 
 
-def _reconstructs(span: list[int], smask: int) -> tuple[bool, int, int]:
-    """Extreme points of the convex smask and the hull they generate.
-
-    Reads only span entries of subsets of smask, which the scan has filled:
-    x is extreme when smask - x is convex, and the hull is the fixed point
-    of span from the extreme points.
-    """
-    ext = 0
-    rest = smask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if span[smask ^ low] == smask ^ low:
-            ext |= low
-    hull = ext
-    while (nxt := span[hull]) != hull:
-        hull = nxt
-    return hull == smask, ext, hull
-
-
 def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmCheck:
     """Does one convex set equal the hull of its extreme points?
 
@@ -108,11 +89,12 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     """
     if g.n <= MAX_SCAN_N and not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
-    span = span_table(g)
-    for smask in scan_convex(g, k, span):
-        ok, ext, hm = _reconstructs(span, smask)
-        if not ok:
-            return GeometryVerdict(
-                False, MkmViolation(set_of(smask), set_of(ext), set_of(hm))
-            )
+    span, ext, key = span_table(g, k)
+    for smask in scan_convex(key):
+        hm = ext[smask]
+        while (nxt := span[hm]) != hm:
+            hm = nxt
+        if hm != smask:
+            cert = (set_of(reverse_bits(m, g.n)) for m in (smask, ext[smask], hm))
+            return GeometryVerdict(False, MkmViolation(*cert))
     return GeometryVerdict(True, None)

@@ -3,13 +3,18 @@
 Everything here works by scanning vertex subsets and checking structure
 directly, so none of the library's search machinery (DFS enumeration,
 LexBFS, incremental hull steps) is trusted by these reference answers.
+The one exception, reference_scan, takes its pair intervals from the
+caller, so that it can check the oracle's table scan on graphs too large
+for brute_interval.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations, permutations
 
-from lkconvex import Graph
+from lkconvex import Graph, MkmViolation
+from lkconvex.bits import set_of
 
 
 def subsets(vs, min_size=0, max_size=None):
@@ -118,6 +123,58 @@ def brute_convex_sets(g: Graph, k: int) -> set[frozenset[int]]:
         if all(ivs[p] <= fs for p in combinations(s, 2)):
             out.add(fs)
     return out
+
+
+def reference_scan(
+    n: int, pair_interval: Callable[[int, int], int]
+) -> tuple[list[int], MkmViolation | None]:
+    """The oracle's scan one subset at a time: the masks of the nonempty
+    convex sets, by size and lexicographic within a size, and the first of
+    them that is not the hull of its extreme points, as an MkmViolation (or
+    None).  pair_interval(u, v) is the mask of I[u,v] for u < v.
+
+    span[S], the union of the pair intervals of S, is read off two smaller
+    subsets and one pair: each set m of one size is extended by a vertex v
+    above its top member t, and span[S] = span[S-v] | span[S-t] | span[{t,v}].
+    S is convex when span[S] == S, x of S is extreme when S - x is convex,
+    and the hull of the extreme points is the fixed point of span from them.
+    """
+    span = [0] * (1 << n)
+    convex = []
+    for v in range(n):
+        span[1 << v] = 1 << v
+        convex.append(1 << v)
+    level = []
+    for u, v in combinations(range(n), 2):
+        s = 1 << u | 1 << v
+        span[s] = pair_interval(u, v)
+        if span[s] == s:
+            convex.append(s)
+        if v < n - 1:
+            level.append(s)
+    while level:
+        nxt = []
+        for m in level:
+            t = m.bit_length()
+            top = 1 << t - 1
+            for v in range(t, n):
+                s = m | 1 << v
+                span[s] = span[m] | span[s ^ top] | span[s ^ m ^ top]
+                if span[s] == s:
+                    convex.append(s)
+                if v < n - 1:
+                    nxt.append(s)
+        level = nxt
+    violation = None
+    for s in convex:
+        ext = sum(1 << x for x in range(n) if s >> x & 1 and span[s ^ 1 << x] == s ^ 1 << x)
+        hull = ext
+        while span[hull] != hull:
+            hull = span[hull]
+        if hull != s:
+            violation = MkmViolation(set_of(s), set_of(ext), set_of(hull))
+            break
+    return convex, violation
 
 
 def brute_one_point_geometry(g: Graph, k: int) -> bool:

@@ -182,7 +182,6 @@ def test_criterion_5_monophonic_limit_is_chordality(connected_upto6):
             f"with up to 6 vertices and 72 seeded with 7-18", elapsed)
 
 
-@pytest.mark.slow
 def test_criterion_5_monophonic_limit_past_18_vertices():
     t0 = time.perf_counter()
     problems = []

@@ -256,6 +256,55 @@ def test_generate_writes_only_what_the_reader_accepts(capsys, monkeypatch, tmp_p
         assert not out.exists()
 
 
+def test_generate_gem_checks_its_own_vertex_count(capsys, monkeypatch, tmp_path):
+    # gem --n N builds N + 2 vertices; the refusal comes before any building
+    monkeypatch.setattr(formats, "MAX_VERTICES", 100)
+    monkeypatch.setattr(generators, "gem", lambda n: pytest.fail("gem was built"))
+    out = tmp_path / "g.txt"
+    for n in ("99", "100"):
+        assert main(["generate", "gem", "--n", n, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --n {n} ({int(n) + 2} vertices) exceeds the vertex limit of 100\n"
+        assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(formats, "MAX_VERTICES", 100)
+    assert main(["generate", "gem", "--n", "98", "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "100 197"
+    capsys.readouterr()
+
+
+def _edge_list_text(g, comment):
+    """Canonical text built from the g.edges() list, not from graph_lines."""
+    lines = [f"# {comment}", f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, g", [
+    (["triangle-strip7"], generators.triangle_strip7()),
+    (["path", "--n", "9"], generators.path(9)),
+    (["cycle", "--n", "9"], generators.cycle(9)),
+    (["complete", "--n", "100"], generators.complete(100)),  # 4,950 edges: two chunks
+    (["star", "--n", "9"], generators.star(9)),
+    (["gem", "--n", "9"], generators.gem(9)),
+    (["trivially-perfect", "--n", "30", "--seed", "4"], generators.random_trivially_perfect(30, 4)),
+    (["chordal", "--n", "30", "--density", "0.5", "--seed", "4"],
+     generators.random_connected_chordal(30, 0.5, 4)),
+    (["connected", "--n", "30", "--density", "0.3", "--seed", "4"],
+     generators.random_connected(30, 0.3, 4)),
+])
+def test_generate_streams_the_canonical_text(capsys, tmp_path, argv, g):
+    fields = [a[2:] + "=" + b for a, b in zip(argv[1::2], argv[2::2])]
+    comment = " ".join([f"family={argv[0]}", *fields])
+    want = _edge_list_text(g, comment)
+    assert format_graph(g, comment) == want
+    assert main(["generate", *argv]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "g.txt"
+    assert main(["generate", *argv, "-o", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+
+
 def test_demo_non_hereditary(capsys):
     assert main(["demo-non-hereditary"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from bruteforce import (
     brute_is_convex,
     brute_one_point_geometry,
     brute_simplicial,
+    reference_scan,
     subsets,
 )
 from lkconvex import (
@@ -18,6 +21,7 @@ from lkconvex import (
     NotConvexError,
     SizeCapError,
     certificate_holds,
+    enumerate_convex_sets,
     extreme_points,
     generators,
     hull,
@@ -26,6 +30,8 @@ from lkconvex import (
     mkm_check_set,
     verify_geometry,
 )
+from lkconvex.bits import set_of
+from lkconvex.convexity import _interval_mask, effective_k
 
 
 def test_strip_is_geometry(strip7):
@@ -182,6 +188,38 @@ def test_cycle_certificates_match_reference_scan(n):
     for k in (2, 3, 4):
         verdict = verify_geometry(g, k)
         assert (verdict.is_geometry, verdict.violation) == _reference_verdict(g, k)
+
+
+def _assert_matches_reference_scan(g, k) -> bool:
+    kk = effective_k(g, k)
+    intervals = {(u, v): _interval_mask(g, kk, u, v) for u, v in combinations(range(g.n), 2)}
+    convex, violation = reference_scan(g.n, lambda u, v: intervals[u, v])
+    verdict = verify_geometry(g, k)
+    assert (verdict.is_geometry, verdict.violation) == (violation is None, violation), (g.edges(), k)
+    assert enumerate_convex_sets(g, k) == [frozenset()] + [set_of(s) for s in convex], (g.edges(), k)
+    return verdict.is_geometry
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tables_match_reference_scan_exhaustively(n):
+    """Verdict, certificate and convex-set order of the whole-table oracle
+    against the per-subset scan, on every connected labelled graph."""
+    for g in generators.all_connected_graphs(n):
+        for k in (2, 3, 4):
+            _assert_matches_reference_scan(g, k)
+
+
+def test_tables_match_reference_scan_on_seeded_graphs():
+    """300 seeded graphs with 7-15 vertices, chordal and arbitrary by turns;
+    both verdicts must occur at each k."""
+    verdicts = {2: set(), 3: set(), 5: set()}
+    for i in range(300):
+        n, density = 7 + i % 9, random.Random(19_000 + i).choice((0.2, 0.4, 0.6, 0.8))
+        family = generators.random_connected_chordal if i % 2 else generators.random_connected
+        g = family(n, density, 19_000 + i)
+        for k in verdicts:
+            verdicts[k].add(_assert_matches_reference_scan(g, k))
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
 def test_one_point_extension_oracle_agrees(small_graph_pool):

@@ -34,6 +34,7 @@ from lkconvex import (
     induced_paths_between,
     interval,
     recognize_l2,
+    verify_geometry,
 )
 from lkconvex.cli import main
 from lkconvex.formats import MAX_MASK_BYTES, MAX_VERTICES, FormatError, parse_graph
@@ -134,6 +135,27 @@ def test_extremes_of_a_large_set():
     elapsed = time.perf_counter() - t0
     assert ext == {0, 199}
     assert elapsed < 0.5, elapsed
+
+
+def test_oracle_at_twenty_vertices_with_every_subset_convex():
+    # 2^20 convex sets, each replayed from its extreme points
+    t0 = time.perf_counter()
+    verdict = verify_geometry(generators.complete(20), 3)
+    elapsed = time.perf_counter() - t0
+    assert verdict.is_geometry
+    assert elapsed < 2.0, elapsed
+
+
+def test_oracle_memory_at_the_size_cap():
+    # every table holds 2^22 lanes of 4 bytes (16 MiB), whatever the verdict
+    tracemalloc.start()
+    try:
+        verdict = verify_geometry(generators.path(22), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.is_geometry
+    assert peak < 160 * 2**20, peak
 
 
 @pytest.mark.parametrize("seed", [0, 1])
