@@ -11,8 +11,6 @@ from .chordal import ChordalityResult, is_chordal, is_elimination_ordering, lex_
 from .convexity import (
     HullTrace,
     NotConvexError,
-    SizeCapError,
-    enumerate_convex_sets,
     extreme_points,
     hull,
     interval,
@@ -31,6 +29,8 @@ from .geometry import (
     GeometryVerdict,
     MkmCheck,
     MkmViolation,
+    SizeCapError,
+    enumerate_convex_sets,
     mkm_check_set,
     verify_geometry,
 )

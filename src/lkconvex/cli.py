@@ -26,15 +26,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import formats, generators
-from .convexity import (
-    MAX_SCAN_N,
-    NotConvexError,
-    SizeCapError,
-    effective_k,
-    extreme_points,
-    hull,
-    interval,
-)
+from .convexity import NotConvexError, effective_k, extreme_points, hull, interval
 from .formats import (
     FormatError,
     ParsedGraph,
@@ -44,7 +36,7 @@ from .formats import (
     graph_lines,
     load_graph,
 )
-from .geometry import verify_geometry
+from .geometry import MAX_SCAN_N, SizeCapError, verify_geometry
 from .graph import Graph, GraphError, induced_paths_between, induced_subgraph
 from .recognizers import (
     certificate_holds,

@@ -16,13 +16,8 @@ convex.  A pair interval at k = 2 or 3 has a closed form read off the
 neighbourhood masks of the pair and of N(u); at k >= 4 it is the one-pair
 case of the hull step.
 
-The convex-set enumeration, shared with the geometry oracle, reads tables
-with one 32-bit lane per subset, each table held in one integer.  The span
-table (each subset's union of pair intervals) is built by doubling, one
-vertex at a time, from the n(n-1)/2 pair intervals; convexity and extreme
-points are then a few operations over whole tables, and the scan walks the
-convex sets off a one-byte key per subset.  The tables have 2^n lanes, so
-the scan refuses graphs above MAX_SCAN_N (22) vertices.
+The exhaustive scan over all 2^n subsets lives in geometry, which builds
+its tables from _interval_mask.
 
 Values of k above n-1 are indistinguishable from k = n-1 (no induced path is
 longer), so k is clamped there.
@@ -30,12 +25,11 @@ longer), so k is clamped there.
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .bits import iter_bits, mask_of, reverse_bits, set_of
+from .bits import iter_bits, mask_of, set_of
 from .graph import (
     Graph,
     GraphError,
@@ -45,12 +39,6 @@ from .graph import (
     labeller,
     simplicial_mask,
 )
-
-# The one size bound of the subset scan, whose tables hold one 32-bit lane
-# per subset, 2^n in all.  At 22 vertices each table is 16 MiB, and any
-# 22-vertex graph peaks at about 120 MiB traced; each further vertex
-# doubles that.
-MAX_SCAN_N = 22
 
 
 class NotConvexError(ValueError):
@@ -64,10 +52,6 @@ class NotConvexError(ValueError):
             f"set is not convex: the interval of ({u}, {v}) contains vertex "
             f"{escaped}, which is outside the set"
         )
-
-
-class SizeCapError(ValueError):
-    """Exhaustive enumeration refused: the graph has more than MAX_SCAN_N vertices."""
 
 
 def effective_k(g: Graph, k: int) -> int:
@@ -255,107 +239,3 @@ def extreme_points(g: Graph, k: int, vertices: Iterable[int]) -> frozenset[int]:
     if bad is not None:
         raise NotConvexError(*bad)
     return set_of(simplicial_mask(g, smask))
-
-
-def _lanes(table: int, n: int) -> Sequence[int]:
-    """The 2^n 32-bit lanes of table as a sequence: lane S at index S."""
-    raw = table.to_bytes(4 << n, "little")
-    if sys.byteorder == "little":
-        return memoryview(raw).cast("I")
-    from array import array  # big-endian hosts only, so no other pays to load it
-
-    lanes = array("I", raw)
-    lanes.byteswap()
-    return lanes
-
-
-def span_table(g: Graph, k: int) -> tuple[Sequence[int], Sequence[int], bytes]:
-    """The span, extreme-point and key tables of every subset, for scan_convex.
-
-    The tables index subsets of the graph with each id v renamed n-1-v, so
-    that scan_convex walks them by size, then lexicographically on the
-    graph's own ids (see there); reverse_bits maps a lane back.  Lane S of
-    span holds the union of I[u,v] over the pairs of S ({v} for a
-    singleton, 0 for the empty set), so S is convex exactly when
-    span[S] == S.  For a convex S, ext[S] holds the x of S with
-    S - x convex, its extreme points by their definition; ext is
-    meaningless on the other lanes.  key[S] is |S| when S is convex and
-    0xFF when it is not.
-
-    Each table is built as one integer of 32-bit lanes, by doubling: after
-    vertex v, the table covers the 2^(v+1) subsets of 0..v, and the lanes
-    S + {v} are the lanes S ORed with P_v[S] and {v}, where P_v[S], the
-    union of I[u,v] over u in S, is built by the same doubling from the
-    v pair intervals.  Every pair of S + {v} lies in S or is {u, v} with u
-    in S, so that is the span of S + {v}.  The identity and size tables
-    double alike, lane S + {v} holding S plus {v} and |S| plus one.  A lane
-    below 2^31 plus 0x7FFFFFFF reaches bit 31 exactly when it is nonzero,
-    without carrying into the next lane, which reads the non-convex flags
-    off span XOR identity in one addition.  Shifting the convex flags C up
-    by 2^x lanes and x bits puts C[S - {x}] at bit x of lane S whenever x
-    is in S; the AND with the identity table clears bit x of the lanes
-    without x, where the shift brought the flag of some other set.
-
-    Raises SizeCapError, before allocating, when g has more than MAX_SCAN_N
-    vertices.
-    """
-    n = g.n
-    if n > MAX_SCAN_N:
-        raise SizeCapError(
-            f"refusing to scan subsets of {n} vertices: the subset scan "
-            f"holds a 2^n-entry table and accepts at most {MAX_SCAN_N} vertices"
-        )
-    k = effective_k(g, k)
-    h = Graph._from_adj(n, [reverse_bits(a, n) for a in reversed(g._adj)])
-    # units[v] has 2^v lanes, each holding 1
-    units = [1]
-    table = ids = sizes = 0
-    for v in range(n):
-        near = 0
-        for u in range(v):
-            near |= (near | _interval_mask(h, k, u, v) * units[u]) << (32 << u)
-        ones = units[v]
-        table |= (table | near | ones << v) << (32 << v)
-        ids |= (ids | ones << v) << (32 << v)
-        sizes |= (sizes + ones) << (32 << v)
-        units.append(ones | ones << (32 << v))
-    ones = units[n]
-    del units, near
-    nc = ((table ^ ids) + 0x7FFFFFFF * ones) >> 31 & ones
-    span = _lanes(table, n)
-    del table
-    key = (sizes | nc * 0xFF).to_bytes(4 << n, "little")[::4]
-    del sizes
-    convex = ones ^ nc
-    del ones, nc
-    ext = 0
-    for x in range(n):
-        ext |= (convex << (32 << x) + x) & ids
-    del convex, ids
-    return span, _lanes(ext, n), key
-
-
-def scan_convex(key: bytes) -> Iterator[int]:
-    """Lanes of the nonempty convex sets of a span_table key, by size, then
-    lexicographic on the graph's own ids within a size.
-
-    Renaming v to n-1-v turns the least id where two sets of one size differ
-    into the highest bit where their lanes differ, so lexicographic order
-    on the graph's ids is descending lane order.
-    """
-    n = len(key).bit_length() - 1
-    for size in range(1, n + 1):
-        s = len(key)
-        while (s := key.rfind(size, 0, s)) >= 0:
-            yield s
-
-
-def enumerate_convex_sets(g: Graph, k: int) -> list[frozenset[int]]:
-    """All convex sets, in increasing size and lexicographic order within a size.
-
-    The scan is exhaustive over the 2^n subsets, so graphs with more than
-    MAX_SCAN_N (22) vertices are refused with SizeCapError.
-    """
-    n = g.n
-    key = span_table(g, k)[2]
-    return [frozenset()] + [set_of(reverse_bits(s, n)) for s in scan_convex(key)]

@@ -10,11 +10,12 @@ Two dialects are read:
 Parsing keeps the vertex labels as they appeared in the file, so reports
 can speak the caller's language; internally everything is 0-based.
 
-A file is read in one pass, its edges streamed into Graph, which checks
-each of them once.  Each dialect's reader turns lines into 0-based pairs
-and refuses the first malformed one; one stage bounds the masks and counts
-the edges for both.  So every fault is reported where it is read, and a
-wrong edge count after the last edge.  Parsed labels are ranges.
+A file is read in one pass, a piece at a time and never whole, and its
+edges are streamed into Graph, which checks each of them once.  Each
+dialect's reader turns lines into 0-based pairs and refuses the first
+malformed one; one stage bounds the masks and counts the edges for both.
+So every fault is reported where it is read, and a wrong edge count after
+the last edge.  Parsed labels are ranges.
 """
 
 from __future__ import annotations
@@ -57,20 +58,28 @@ class ParsedGraph(NamedTuple):
             raise FormatError(f"unknown vertex label {label}") from None
 
 
-# Text is split into lines this many characters at a time, so that a large
-# file is never held as one list of lines.
+# Text is read and split into lines this many characters at a time, each
+# piece cut after its last line feed, so that a file is never held whole nor
+# any text as one list of lines, unless it runs a piece without a line feed.
 _CHUNK = 1 << 16
 
 
-def _meaningful_lines(text: str) -> Iterator[list[str]]:
-    """The tokens of each line that has any besides a comment, one at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)  # cut after a line break
-        for line in text[start:end].splitlines():
+def _meaningful_lines(pieces: Iterable[str]) -> Iterator[list[str]]:
+    """The tokens of each line that has any besides a comment, one at a time,
+    in the text that pieces make up.  Each piece is cut after its last
+    "\\n", which ends a line whatever follows it, and the rest is carried
+    into the next piece; a last "\\n" ends the text.  So the lines are those
+    str.splitlines gives for the whole text, plus at most one empty line."""
+    rest = ""
+    for piece in chain(pieces, ["\n"]):
+        cut = piece.rfind("\n") + 1
+        if not cut:
+            rest += piece  # one line spans the whole piece
+            continue
+        for line in (rest + piece[:cut]).splitlines():
             if tokens := line.split("#", 1)[0].split():
                 yield tokens
-        start = end
+        rest = piece[cut:]
 
 
 def _int(token: str, what: str) -> int:
@@ -186,7 +195,11 @@ def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
 
 def parse_graph(text: str) -> ParsedGraph:
     """Parse either dialect, keyed off the first meaningful line."""
-    lines = _meaningful_lines(text)
+    return _parse(text[i:i + _CHUNK] for i in range(0, len(text), _CHUNK))
+
+
+def _parse(pieces: Iterable[str]) -> ParsedGraph:
+    lines = _meaningful_lines(pieces)
     first = next(lines, None)
     if first is None:
         raise FormatError("empty graph text")
@@ -197,10 +210,10 @@ def parse_graph(text: str) -> ParsedGraph:
 
 def load_graph(path: str | Path) -> ParsedGraph:
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            return _parse(iter(lambda: fh.read(_CHUNK), ""))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not readable as text: {exc}") from None
-    return parse_graph(text)
 
 
 def graph_lines(g: Graph, comment: str | None = None) -> Iterator[str]:

@@ -8,29 +8,39 @@ holding the convex set, its extreme points, and the hull those extremes
 actually generate.  Exponential by design: it is the ground truth the
 structural recognizers are validated against, so it stays brute force.
 
-convexity.span_table builds three tables over every subset at once: span[S],
-the union of the pair intervals of S, so S is convex when span[S] == S;
-ext[S], the x of a convex S with S - x convex, its extreme points by their
-definition; and a key giving each convex set's size.  scan_convex walks the
-convex sets in the order above off the key, and the replay iterates span
-from ext[S].  The tables index the graph with its ids reversed, so a
-certificate is mapped back to the graph's ids.  They have 2^n lanes, so
-graphs above convexity.MAX_SCAN_N (22) vertices are refused.
+This module alone holds the subset scan: span_table builds its tables over
+every subset at once, one 32-bit lane per subset, scan_convex walks the
+convex sets off them, and enumerate_convex_sets and verify_geometry read
+them.  The tables have 2^n lanes, so graphs above MAX_SCAN_N (22) vertices
+are refused.
 
 mkm_check_set checks one set with the public operators instead, taking
-extreme_points for its extremes and the hull they generate; sharing only
-the interval walk with the scan, it re-checks the oracle's certificates.
+extreme_points for its extremes and the hull they generate.  It shares only
+convexity._interval_mask with the scan (a closed form at k = 2 and 3, a
+walk at k >= 4), and re-checks the oracle's certificates.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import convexity
 from .bits import reverse_bits, set_of
-from .convexity import MAX_SCAN_N, extreme_points, hull, scan_convex, span_table
+from .convexity import effective_k, extreme_points, hull
 from .graph import Graph, GraphError, is_connected, labeller
+
+# The one size bound of the subset scan, whose tables hold one 32-bit lane
+# per subset, 2^n in all.  At 22 vertices each table is 16 MiB, and any
+# 22-vertex graph peaks at about 100 MiB traced; each further vertex
+# doubles that.
+MAX_SCAN_N = 22
+
+
+class SizeCapError(ValueError):
+    """Exhaustive enumeration refused: the graph has more than MAX_SCAN_N vertices."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,106 @@ def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmCheck:
     return MkmCheck(hm == frozenset(vs), ext, hm)
 
 
+def _lanes(table: int, n: int) -> Sequence[int]:
+    """The 2^n 32-bit lanes of table as a sequence: lane S at index S."""
+    raw = table.to_bytes(4 << n, "little")
+    if sys.byteorder == "little":
+        return memoryview(raw).cast("I")
+    from array import array  # big-endian hosts only, so no other pays to load it
+
+    lanes = array("I", raw)
+    lanes.byteswap()
+    return lanes
+
+
+def span_table(g: Graph, k: int) -> tuple[int, int, bytes]:
+    """The span table, the convex flags and the key of every subset.  The
+    first two are integers of one 32-bit lane per subset, the key has one
+    byte per subset.
+
+    The lanes index subsets of the graph with each id v renamed n-1-v, so
+    that scan_convex walks them by size, then lexicographically on the
+    graph's own ids (see there); reverse_bits maps a lane back.  Lane S of
+    the span table holds the union of I[u,v] over the pairs of S ({v} for
+    a singleton, 0 for the empty set), so S is convex exactly when
+    span[S] == S.  Lane S of the flags is 1 when S is convex and 0 when it
+    is not.  key[S] is |S| when S is convex and 0xFF when it is not.
+
+    Each table is built by doubling: after vertex v, it covers the 2^(v+1)
+    subsets of 0..v, and the lanes S + {v} are the lanes S ORed with P_v[S]
+    and {v}, where P_v[S], the union of I[u,v] over u in S, is built by the
+    same doubling from the v pair intervals.  Every pair of S + {v} lies in
+    S or is {u, v} with u in S, so that is the span of S + {v}.  The
+    identity and size tables double alike, lane S + {v} holding S plus {v}
+    and |S| plus one.  A lane below 2^31 plus 0x7FFFFFFF reaches bit 31
+    exactly when it is nonzero, without carrying into the next lane, which
+    reads the non-convex flags off span XOR identity in one addition.
+
+    The extreme points follow from the flags C: shifting C up by 2^x lanes
+    and x bits puts C[S - {x}] at bit x of lane S whenever x is in S, so
+    ORing those shifts over x, each ANDed with the span table, gives at a
+    convex lane S (where span[S] == S) the x of S with S - x convex: its
+    extreme points by their definition.  The AND clears bit x of the lanes
+    without x, where the shift brought the flag of some other set.
+
+    Raises SizeCapError, before allocating, when g has more than MAX_SCAN_N
+    vertices.
+    """
+    n = g.n
+    if n > MAX_SCAN_N:
+        raise SizeCapError(
+            f"refusing to scan subsets of {n} vertices: the subset scan "
+            f"holds a 2^n-entry table and accepts at most {MAX_SCAN_N} vertices"
+        )
+    k = effective_k(g, k)
+    h = Graph._from_adj(n, [reverse_bits(a, n) for a in reversed(g._adj)])
+    table = ids = sizes = 0
+    for v in range(n):
+        near = 0
+        ones = 1  # 1 in each lane of the subsets of 0..u-1, as u grows
+        for u in range(v):
+            # looked up on convexity, where a layer tracer wraps it
+            near |= (near | convexity._interval_mask(h, k, u, v) * ones) << (32 << u)
+            ones |= ones << (32 << u)
+        table |= (table | near | ones << v) << (32 << v)
+        ids |= (ids | ones << v) << (32 << v)
+        sizes |= (sizes + ones) << (32 << v)
+    del near
+    ones |= ones << (32 << v)  # 1 in each of the 2^n lanes
+    nc = table ^ ids
+    del ids
+    nc = (nc + 0x7FFFFFFF * ones) >> 31 & ones
+    key = (sizes | nc * 0xFF).to_bytes(4 << n, "little")[::4]
+    del sizes
+    return table, ones ^ nc, key
+
+
+def scan_convex(key: bytes) -> Iterator[int]:
+    """Lanes of the nonempty convex sets of a span_table key, by size, then
+    lexicographic on the graph's own ids within a size.
+
+    Renaming v to n-1-v turns the least id where two sets of one size differ
+    into the highest bit where their lanes differ, so lexicographic order
+    on the graph's ids is descending lane order.
+    """
+    n = len(key).bit_length() - 1
+    for size in range(1, n + 1):
+        s = len(key)
+        while (s := key.rfind(size, 0, s)) >= 0:
+            yield s
+
+
+def enumerate_convex_sets(g: Graph, k: int) -> list[frozenset[int]]:
+    """All convex sets, in increasing size and lexicographic order within a size.
+
+    The scan is exhaustive over the 2^n subsets, so graphs with more than
+    MAX_SCAN_N (22) vertices are refused with SizeCapError.
+    """
+    n = g.n
+    key = span_table(g, k)[2]
+    return [frozenset()] + [set_of(reverse_bits(s, n)) for s in scan_convex(key)]
+
+
 def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     """Check every convex set against its extreme-point reconstruction.
 
@@ -87,14 +197,22 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     the subset scan is 2^n, then disconnected graphs with GraphError,
     before the 2^n table is allocated.
     """
-    if g.n <= MAX_SCAN_N and not is_connected(g):
+    n = g.n
+    if n <= MAX_SCAN_N and not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
-    span, ext, key = span_table(g, k)
+    table, convex, key = span_table(g, k)
+    ext = 0  # the extreme points of each convex set (see span_table)
+    for x in range(n):
+        ext |= (convex << (32 << x) + x) & table
+    del convex
+    ext = _lanes(ext, n)
+    span = _lanes(table, n)
+    del table
     for smask in scan_convex(key):
         hm = ext[smask]
         while (nxt := span[hm]) != hm:
             hm = nxt
         if hm != smask:
-            cert = (set_of(reverse_bits(m, g.n)) for m in (smask, ext[smask], hm))
+            cert = (set_of(reverse_bits(m, n)) for m in (smask, ext[smask], hm))
             return GeometryVerdict(False, MkmViolation(*cert))
     return GeometryVerdict(True, None)

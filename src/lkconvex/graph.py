@@ -295,7 +295,8 @@ def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[In
 def contains_induced_path(g: Graph, m: int) -> InducedPath | None:
     """First induced path on m vertices in DFS order, or None.
 
-    Used chiefly with m=4 to find the four-vertex path certificate.
+    A public query that no product code calls: the recognizers take their
+    four-vertex path certificate from recognizers._unnested_path.
     """
     if m < 1:
         raise GraphError(f"vertex count of a path must be positive, got {m}")

@@ -110,8 +110,8 @@ def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> boo
     """Re-check a certificate against the graph it came from: an induced
     cycle, an induced 3-edge path (k = 2 only), a pair beyond k, an unsolved
     gem (k = 3 only), or an oracle violation.  The violation is replayed by
-    mkm_check_set, which shares only the interval walk with the span-table
-    scan."""
+    mkm_check_set, which shares only _interval_mask with the subset scan:
+    a closed form at k = 2 and 3, a walk at k >= 4."""
     match cert:
         case MkmViolation(convex_set, ext, hull):
             try:

@@ -236,6 +236,24 @@ def test_load_graph(tmp_path, strip7):
     assert load_graph(target).graph == strip7
 
 
+def test_loading_holds_no_whole_file(tmp_path):
+    # A path on 3 vertices and 4 MB of comment lines.  The vertex and mask
+    # limits bound the graph, not the text; reading the text whole peaked
+    # near twice its size.
+    target = tmp_path / "g.txt"
+    with open(target, "w") as fh:
+        fh.write("3 2\n0 1\n1 2\n")
+        fh.writelines(f"# padding line {i:08d}\n" for i in range(160_000))
+    tracemalloc.start()
+    try:
+        parsed = load_graph(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.graph == generators.path(3)
+    assert peak < 2**20, peak
+
+
 def test_format_vertex_set():
     assert format_vertex_set({3, 1, 2}) == "1,2,3"
     assert format_vertex_set([]) == "{}"

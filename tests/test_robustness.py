@@ -155,7 +155,7 @@ def test_oracle_memory_at_the_size_cap():
     finally:
         tracemalloc.stop()
     assert not verdict.is_geometry
-    assert peak < 160 * 2**20, peak
+    assert peak < 112 * 2**20, peak
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -5,7 +5,8 @@ Every lkconvex module is imported in a fresh isolated interpreter
 site-packages and none of their .pth start-up hooks), and every top-level
 module that ends up loaded must be part of the standard library or
 lkconvex itself.  No module names os.environ or os.getenv, so every
-setting of a run is on its command line.
+setting of a run is on its command line.  Only geometry names the oracle's
+lane tables.
 """
 
 from __future__ import annotations
@@ -45,18 +46,39 @@ def test_package_imports_only_the_standard_library():
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
+def _names(path: Path):
+    """(name, line) for every name, attribute and imported name in a module."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
+def _package_modules() -> list[Path]:
+    return sorted(Path(lkconvex.__file__).parent.rglob("*.py"))
+
+
 def test_package_reads_no_environment():
-    found = []
-    for path in sorted(Path(lkconvex.__file__).parent.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.alias):
-                name = node.name.rpartition(".")[2]
-            else:
-                continue
-            if name in ENV_READERS:
-                found.append(f"{path.name}:{node.lineno}: {name}")
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in _package_modules()
+        for name, line in _names(path)
+        if name in ENV_READERS
+    ]
+    assert found == []
+
+
+def test_one_module_knows_the_lane_tables():
+    # The oracle's tables, their 32-bit lane layout and the reversed ids they
+    # index belong to geometry; bits only defines reverse_bits.
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in _package_modules()
+        if path.name not in ("geometry.py", "bits.py")
+        for name, line in _names(path)
+        if name in ("span_table", "scan_convex", "_lanes", "reverse_bits")
+    ]
     assert found == []
