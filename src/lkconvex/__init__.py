@@ -7,7 +7,7 @@ exhaustive convex-geometry oracle, certificate-producing recognizers for
 the k=2 and k=3 geometry classes, instance generators, and a CLI.
 """
 
-from .chordal import ChordalityResult, is_chordal, is_elimination_ordering, lex_bfs
+from .chordal import ChordalityResult, is_chordal, lex_bfs
 from .convexity import (
     HullTrace,
     NotConvexError,
@@ -40,14 +40,10 @@ from .graph import (
     HoleWitness,
     InducedPath,
     InducedSubgraph,
-    bfs_distances,
-    contains_induced_path,
-    diameter,
     distance,
     induced_paths_between,
     induced_subgraph,
     is_connected,
-    simplicial_vertices,
 )
 from .recognizers import (
     FarPair,
@@ -56,7 +52,6 @@ from .recognizers import (
     certificate_holds,
     certificate_json,
     enumerate_gems,
-    is_gem_solved,
     necessary_conditions,
     recognize_l2,
     recognize_l3,
@@ -83,11 +78,8 @@ __all__ = [
     "ParsedGraph",
     "RecognitionVerdict",
     "SizeCapError",
-    "bfs_distances",
     "certificate_holds",
     "certificate_json",
-    "contains_induced_path",
-    "diameter",
     "distance",
     "enumerate_convex_sets",
     "enumerate_gems",
@@ -102,8 +94,6 @@ __all__ = [
     "is_chordal",
     "is_connected",
     "is_convex",
-    "is_elimination_ordering",
-    "is_gem_solved",
     "lex_bfs",
     "load_graph",
     "mkm_check_set",
@@ -111,7 +101,6 @@ __all__ = [
     "parse_graph",
     "recognize_l2",
     "recognize_l3",
-    "simplicial_vertices",
     "solved_gems",
     "verify_geometry",
 ]

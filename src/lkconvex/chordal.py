@@ -2,9 +2,11 @@
 
 The test runs lexicographic BFS and checks whether the reverse visit order
 is a perfect elimination ordering; on chordal graphs it is, and the order is
-returned as the positive certificate.  When the check fails, the hole is
-read off the vertex where it failed and returned instead, so either verdict
-can be revalidated independently of the algorithm that produced it.
+returned as the positive certificate: the caller can re-check it by
+testing that each vertex's later neighbours form a clique.  When the check
+fails, the hole is read off the vertex where it failed and returned instead,
+so either verdict can be revalidated independently of the algorithm that
+produced it.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ def _first_failure(g: Graph, order: tuple[int, ...] | list[int]) -> tuple[int, i
         if pair := _missing_pair(adj, adj[v] & later):
             return v, *pair
     return None
-
-
-def is_elimination_ordering(g: Graph, order: tuple[int, ...] | list[int]) -> bool:
-    """True when every vertex's later neighbors form a clique."""
-    return sorted(order) == list(range(g.n)) and _first_failure(g, order) is None
 
 
 def is_chordal(g: Graph) -> ChordalityResult:

@@ -63,13 +63,18 @@ class ParsedGraph(NamedTuple):
 # any text as one list of lines, unless it runs a piece without a line feed.
 _CHUNK = 1 << 16
 
+# A refusal quotes at most this many characters of the text it refuses.
+_QUOTED = 60
+
 
 def _meaningful_lines(pieces: Iterable[str]) -> Iterator[list[str]]:
     """The tokens of each line that has any besides a comment, one at a time,
-    in the text that pieces make up.  Each piece is cut after its last
-    "\\n", which ends a line whatever follows it, and the rest is carried
-    into the next piece; a last "\\n" ends the text.  So the lines are those
-    str.splitlines gives for the whole text, plus at most one empty line."""
+    in the text that pieces make up; past the fourth, the rest of the line
+    is one token, since no line of either dialect has more than four.  Each
+    piece is cut after its last "\\n", which ends a line whatever follows
+    it, and the rest is carried into the next piece; a last "\\n" ends the
+    text.  So the lines are those str.splitlines gives for the whole text,
+    plus at most one empty line."""
     rest = ""
     for piece in chain(pieces, ["\n"]):
         cut = piece.rfind("\n") + 1
@@ -77,16 +82,26 @@ def _meaningful_lines(pieces: Iterable[str]) -> Iterator[list[str]]:
             rest += piece  # one line spans the whole piece
             continue
         for line in (rest + piece[:cut]).splitlines():
-            if tokens := line.split("#", 1)[0].split():
+            if tokens := line.split("#", 1)[0].split(None, 4):
                 yield tokens
         rest = piece[cut:]
+
+
+def _quote(text: str) -> str:
+    """text as repr quotes it, each run of whitespace shown as one space,
+    cut after _QUOTED characters and marked "..." when longer.  Only the
+    first _CHUNK characters are split, so a long line costs no more."""
+    shown = " ".join(text[:_CHUNK].split())
+    if len(shown) > _QUOTED or len(text) > _CHUNK:
+        shown = shown[:_QUOTED] + "..."
+    return repr(shown)
 
 
 def _int(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise FormatError(f"expected an integer {what}, got {token!r}") from None
+        raise FormatError(f"expected an integer {what}, got {_quote(token)}") from None
 
 
 def _endpoints(a: str, b: str) -> tuple[int, int]:
@@ -148,13 +163,13 @@ def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple
 def _canonical_edges(lines: Iterator[list[str]]) -> Iterator[tuple[int, int]]:
     for tokens in lines:
         if len(tokens) != 2:
-            raise FormatError(f"edge line must be 'u v', got {' '.join(tokens)!r}")
+            raise FormatError(f"edge line must be 'u v', got {_quote(' '.join(tokens))}")
         yield _endpoints(tokens[0], tokens[1])
 
 
 def _parse_canonical(header: list[str], lines: Iterator[list[str]]) -> ParsedGraph:
     if len(header) != 2:
-        raise FormatError(f"header must be 'n m', got {' '.join(header)!r}")
+        raise FormatError(f"header must be 'n m', got {_quote(' '.join(header))}")
     n = _vertex_count(header[0])
     m = _int(header[1], "edge count")
     return ParsedGraph(Graph(n, _bounded(n, m, _canonical_edges(lines))), range(n))
@@ -168,9 +183,9 @@ def _dimacs_edges(lines: Iterator[list[str]]) -> Iterator[tuple[int, int]]:
         if tag == "p":
             raise FormatError("multiple 'p' header lines")
         if tag != "e":
-            raise FormatError(f"unrecognized line tag {tokens[0]!r}")
+            raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
         if len(tokens) != 3:
-            raise FormatError(f"edge line must be 'e u v', got {' '.join(tokens)!r}")
+            raise FormatError(f"edge line must be 'e u v', got {_quote(' '.join(tokens))}")
         u, v = _endpoints(tokens[1], tokens[2])
         yield u - 1, v - 1
 
@@ -183,11 +198,11 @@ def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
         if tag == "e":
             raise FormatError("edge line before the 'p' header")
         if tag != "c":
-            raise FormatError(f"unrecognized line tag {tokens[0]!r}")
+            raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
     else:
         raise FormatError("missing 'p edge n m' header")
     if len(tokens) != 4:
-        raise FormatError(f"header must be 'p edge n m', got {' '.join(tokens)!r}")
+        raise FormatError(f"header must be 'p edge n m', got {_quote(' '.join(tokens))}")
     n = _vertex_count(tokens[2])
     m = _int(tokens[3], "edge count")
     return ParsedGraph(Graph(n, _bounded(n, m, _dimacs_edges(lines))), range(1, n + 1))

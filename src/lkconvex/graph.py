@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .bits import ids_of, iter_bits, mask_of, set_of
+from .bits import ids_of, iter_bits, mask_of
 
 
 class GraphError(ValueError):
@@ -126,18 +126,6 @@ def _balls(g: Graph, start: int, within: int = -1) -> Iterator[int]:
         ball |= frontier
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """BFS distances from source; -1 marks unreachable vertices."""
-    g.check_vertex(source)
-    dist = [-1] * g.n
-    inner = 0
-    for d, ball in enumerate(_balls(g, 1 << source)):
-        for x in iter_bits(ball ^ inner):
-            dist[x] = d
-        inner = ball
-    return dist
-
-
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Shortest-path distance, or None when v is unreachable from u."""
     g.check_vertex(v)
@@ -149,21 +137,12 @@ def is_connected(g: Graph) -> bool:
     return max(_balls(g, 1)) == g.full_mask  # balls only grow: max is the last
 
 
-def diameter(g: Graph) -> int:
-    """Largest pairwise distance; raises GraphError on disconnected input."""
-    if not is_connected(g):
-        raise GraphError("diameter is undefined on a disconnected graph")
-    return max(sum(1 for _ in _balls(g, 1 << u)) for u in g.vertices) - 1
-
-
-def simplicial_mask(g: Graph, within: int | None = None) -> int:
+def simplicial_mask(g: Graph, within: int) -> int:
     """Bitmask of the simplicial vertices of the subgraph induced by `within`.
 
     A vertex is simplicial when its neighborhood (inside `within`) is a
     clique; vertices isolated in the subgraph count as simplicial.
     """
-    if within is None:
-        within = g.full_mask
     adj = g._adj
     out = 0
     for x in iter_bits(within):
@@ -180,11 +159,6 @@ def _missing_pair(adj: Sequence[int], nb: int) -> tuple[int, int] | None:
         if miss := nb & ~(adj[y] | (1 << y)):
             return y, (miss & -miss).bit_length() - 1
     return None
-
-
-def simplicial_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood is a clique."""
-    return set_of(simplicial_mask(g))
 
 
 @dataclass(frozen=True)
@@ -290,25 +264,6 @@ def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[In
     for path in _induced_walk(g, u, prune):
         if path[-1] == v:
             yield InducedPath(tuple(path))
-
-
-def contains_induced_path(g: Graph, m: int) -> InducedPath | None:
-    """First induced path on m vertices in DFS order, or None.
-
-    A public query that no product code calls: the recognizers take their
-    four-vertex path certificate from recognizers._unnested_path.
-    """
-    if m < 1:
-        raise GraphError(f"vertex count of a path must be positive, got {m}")
-
-    def prune(path: list[int], cand: int) -> int:
-        return cand if len(path) < m else 0
-
-    for s in range(g.n):
-        for path in _induced_walk(g, s, prune):
-            if len(path) == m:
-                return InducedPath(tuple(path))
-    return None
 
 
 class InducedSubgraph(NamedTuple):

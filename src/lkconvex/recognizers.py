@@ -208,20 +208,9 @@ def _solving_path(adj: list[int], x0: int, xn: int) -> InducedPath | None:
     return None
 
 
-def is_gem_solved(g: Graph, witness: GemWitness) -> tuple[bool, InducedPath | None]:
-    """Look for an induced path of length exactly 3 joining the base ends
-    of the gem while avoiding its apex; returns the lexicographically first.
-    The witness is checked to be an induced gem of g first."""
-    if not witness.is_valid_in(g):
-        raise GraphError(f"not an induced gem of this graph: {witness}")
-    ends = witness.base.vertices
-    path = _solving_path(g._adj, ends[0], ends[-1])
-    return path is not None, path
-
-
 def solved_gems(g: Graph, min_n: int = 3) -> Iterator[tuple[GemWitness, InducedPath | None]]:
-    """Each gem of enumerate_gems(g, min_n), in its order, with the path
-    that solves it (None when unsolved), as is_gem_solved finds it.
+    """Each gem of enumerate_gems(g, min_n), in its order, with the
+    lexicographically first path that solves it (None when unsolved).
 
     The witnesses are not validated again: enumerate_gems builds each base
     as an induced walk of at least min_n >= 3 edges, and each apex as a

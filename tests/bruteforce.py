@@ -190,6 +190,18 @@ def brute_one_point_geometry(g: Graph, k: int) -> bool:
     )
 
 
+def brute_is_elimination_order(g: Graph, order) -> bool:
+    """order lists each vertex once, and the neighbours of each vertex that
+    come later in order form a clique, checked pair by pair."""
+    order = list(order)
+    if sorted(order) != list(range(g.n)):
+        return False
+    return all(
+        is_clique(g, [y for y in order[i + 1:] if g.has_edge(x, y)])
+        for i, x in enumerate(order)
+    )
+
+
 def brute_simplicial(g: Graph, within=None) -> frozenset[int]:
     vs = set(range(g.n)) if within is None else set(within)
     out = set()

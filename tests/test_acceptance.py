@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from bruteforce import is_clique, subsets
+from bruteforce import brute_simplicial, is_clique, subsets
 from lkconvex import (
-    diameter,
+    distance,
     enumerate_convex_sets,
     enumerate_gems,
     extreme_points,
@@ -28,7 +28,6 @@ from lkconvex import (
     recognize_l2,
     recognize_l3,
     necessary_conditions,
-    simplicial_vertices,
     verify_geometry,
 )
 
@@ -250,9 +249,7 @@ def test_criterion_6_randomized_law_battery():
 
         ext = extreme_points(g, k, h)
         definitional = {x for x in h if is_convex(g, k, h - {x})}
-        sub = induced_subgraph(g, h)
-        simp = {sub.parent_ids[x] for x in simplicial_vertices(sub.graph)}
-        if ext != definitional or ext != simp:
+        if ext != definitional or ext != brute_simplicial(g, h):
             problems.append(f"case {i}: extreme point characterizations split")
 
         if len(problems) > 10:
@@ -284,7 +281,7 @@ def test_criterion_7_connected_convex_sets_have_small_diameter():
             sub = induced_subgraph(g, s)
             if is_connected(sub.graph):
                 checked_sets += 1
-                if diameter(sub.graph) > 3:
+                if any(distance(sub.graph, u, v) > 3 for u in sub.graph.vertices for v in range(u)):
                     problems.append(f"instance {draws}: set {sorted(s)} too wide")
     if found < 100:
         problems.append(f"only {found} accepted instances in {draws} draws")

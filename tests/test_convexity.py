@@ -19,7 +19,7 @@ from lkconvex import (
     GraphError,
     NotConvexError,
     SizeCapError,
-    bfs_distances,
+    distance,
     enumerate_convex_sets,
     extreme_points,
     generators,
@@ -199,7 +199,7 @@ def _pair_within(g, k, rng):
     """A random pair at distance 2..k, whose interval holds more than the pair."""
     while True:
         u = rng.randrange(g.n)
-        near = [x for x, d in enumerate(bfs_distances(g, u)) if 2 <= d <= k]
+        near = [x for x in g.vertices if 2 <= distance(g, u, x) <= k]
         if near:
             return {u, rng.choice(near)}
 

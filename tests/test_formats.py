@@ -94,6 +94,8 @@ def test_malformed_canonical():
         parse_graph("3 1\n0 x\n")
     with pytest.raises(FormatError, match="expected an integer endpoint, got 'x'"):
         parse_graph("3 1\n0 x\n1 2\n")  # a bad line is named before the count
+    with pytest.raises(FormatError, match="got '0 1 2 3 4 5'$"):
+        parse_graph("3 1\n0 1 2 3  4   5  \n")  # quoted with single spaces
     with pytest.raises(GraphError, match=r"\(0, 5\)"):
         parse_graph("3 1\n0 5\n1 2\n")  # a bad edge is named where it is read
     with pytest.raises(GraphError):
@@ -167,6 +169,30 @@ def test_parsing_many_vertices_holds_no_label_per_vertex():
         tracemalloc.stop()
     assert parsed.graph.n == MAX_VERTICES
     assert peak < 2.5 * 2**20, peak
+
+
+# One line of a million fields, as a canonical edge line, a canonical header
+# and a DIMACS edge line.  Splitting it whole peaked at 68.2 MiB, and the
+# refusal quoted all 3 MB of it.
+LONG_LINES = {
+    "edge": "3 2\n" + "12 " * 1_000_000,
+    "header": "12 " * 1_000_000,
+    "dimacs edge": "p edge 3 2\ne " + "12 " * 1_000_000,
+}
+
+
+@pytest.mark.parametrize("text", list(LONG_LINES.values()), ids=list(LONG_LINES))
+def test_a_long_line_costs_little_and_is_quoted_short(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    message = str(info.value)
+    assert len(message) < 200 and message.endswith("...'"), message
 
 
 def _dimacs_text(g) -> str:

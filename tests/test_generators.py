@@ -2,17 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from bruteforce import brute_has_hole
+from bruteforce import brute_distances, brute_has_hole, brute_is_elimination_order, brute_simplicial
 from lkconvex import (
     GraphError,
-    contains_induced_path,
-    diameter,
+    InducedPath,
     generators,
     is_chordal,
     is_connected,
-    is_elimination_ordering,
     recognize_l2,
-    simplicial_vertices,
 )
 
 
@@ -20,9 +17,9 @@ def test_strip7_shape():
     g = generators.triangle_strip7()
     assert g.n == 7 and g.m == 11
     assert is_connected(g) and is_chordal(g).chordal
-    assert diameter(g) == 3
-    assert simplicial_vertices(g) == {0, 6}
-    assert contains_induced_path(g, 5) is not None
+    assert max(map(max, brute_distances(g))) == 3
+    assert brute_simplicial(g) == {0, 6}
+    assert InducedPath((0, 1, 3, 5, 6)).is_induced_in(g)
 
 
 def test_path_cycle_complete_star_shapes():
@@ -45,7 +42,7 @@ def test_gem_shape():
         assert g.n == n + 2 and g.m == 2 * n + 1
         apex = n + 1
         assert g.degree(apex) == n + 1
-        assert contains_induced_path(g, n + 1) is not None
+        assert InducedPath(tuple(range(n + 1))).is_induced_in(g)
     with pytest.raises(GraphError):
         generators.gem(2)
 
@@ -69,7 +66,7 @@ def test_random_chordal_family():
         assert is_chordal(g).chordal
         assert not brute_has_hole(g)
         # construction promises descending ids eliminate perfectly
-        assert is_elimination_ordering(g, tuple(range(g.n - 1, -1, -1)))
+        assert brute_is_elimination_order(g, range(g.n - 1, -1, -1))
     tree = generators.random_connected_chordal(10, 0.0, 1)
     assert tree.m == tree.n - 1 and is_connected(tree)
     assert generators.random_connected_chordal(8, 0.4, 2) == (

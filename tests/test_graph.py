@@ -16,16 +16,14 @@ from lkconvex import (
     Graph,
     GraphError,
     InducedPath,
-    contains_induced_path,
-    diameter,
     distance,
     generators,
     induced_paths_between,
     induced_subgraph,
     is_connected,
-    simplicial_vertices,
 )
-from lkconvex.graph import _adjacent_exactly_in_order, _balls
+from lkconvex.bits import iter_bits, set_of
+from lkconvex.graph import _adjacent_exactly_in_order, _balls, simplicial_mask
 
 
 def test_construction_basics():
@@ -70,14 +68,10 @@ def test_equality_and_hash():
     assert a != c
 
 
-def test_distance_and_diameter(strip7):
+def test_distance_values(strip7):
     assert distance(strip7, 0, 6) == 3
     assert distance(strip7, 0, 0) == 0
-    assert diameter(strip7) == 3
-    two = Graph(2)
-    assert distance(two, 0, 1) is None
-    with pytest.raises(GraphError):
-        diameter(two)
+    assert distance(Graph(2), 0, 1) is None
 
 
 def test_distances_match_bruteforce(small_graph_pool):
@@ -147,12 +141,15 @@ def test_connectivity():
 
 
 def test_simplicial_strip(strip7):
-    assert simplicial_vertices(strip7) == {0, 6}
+    assert set_of(simplicial_mask(strip7, strip7.full_mask)) == {0, 6}
 
 
 def test_simplicial_matches_bruteforce(small_graph_pool):
+    rng = random.Random(8)
     for g in small_graph_pool:
-        assert simplicial_vertices(g) == brute_simplicial(g)
+        for within in [g.full_mask] + [rng.getrandbits(g.n) for _ in range(6)]:
+            want = brute_simplicial(g, iter_bits(within))
+            assert set_of(simplicial_mask(g, within)) == want, (g.edges(), within)
 
 
 def test_induced_paths_strip_values(strip7):
@@ -204,16 +201,6 @@ def test_induced_paths_match_subset_oracle(small_graph_pool):
                     assert {frozenset(s) for s in seqs} == set(
                         induced_path_sets(g, u, v, max_len)
                     )
-
-
-def test_contains_induced_path(strip7):
-    p = contains_induced_path(strip7, 4)
-    assert p is not None and p.vertices == (0, 1, 3, 5)
-    assert p.is_induced_in(strip7)
-    assert contains_induced_path(generators.complete(5), 3) is None
-    assert contains_induced_path(generators.path(4), 4).vertices == (0, 1, 2, 3)
-    p5 = contains_induced_path(strip7, 5)
-    assert p5 is not None and p5.is_induced_in(strip7)
 
 
 def test_induced_path_validator(strip7):

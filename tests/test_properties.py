@@ -3,17 +3,16 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import brute_simplicial
 from lkconvex import (
-    enumerate_gems,
+    certificate_holds,
     extreme_points,
     generators,
     hull,
     induced_paths_between,
-    induced_subgraph,
     interval,
     is_convex,
-    is_gem_solved,
-    simplicial_vertices,
+    solved_gems,
 )
 
 graphs = st.builds(
@@ -101,9 +100,7 @@ def test_extremes_of_hull_lie_in_the_seed(case):
     tr = hull(g, k, s)
     ext = extreme_points(g, k, tr.hull)
     assert ext <= s
-    sub = induced_subgraph(g, s)
-    simp_in_seed = {sub.parent_ids[x] for x in simplicial_vertices(sub.graph)}
-    assert ext <= simp_in_seed
+    assert ext <= brute_simplicial(g, s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -120,9 +117,9 @@ def test_extreme_points_match_removal_definition(case):
 @settings(max_examples=50, deadline=None)
 @given(graphs)
 def test_solved_gem_paths_replay(g):
-    for w in enumerate_gems(g, 3):
-        ok, p = is_gem_solved(g, w)
-        if ok:
+    for w, p in solved_gems(g, 3):
+        assert certificate_holds(g, 3, w) == (p is None)
+        if p is not None:
             assert p.is_induced_in(g)
             assert p.length == 3
             assert w.apex not in p.vertices

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from bruteforce import brute_distances, brute_gem_count, brute_gem_solved, brute_unnested_path
@@ -11,15 +13,14 @@ from lkconvex import (
     HoleWitness,
     InducedPath,
     RecognitionVerdict,
-    bfs_distances,
     certificate_holds,
-    contains_induced_path,
+    distance,
     enumerate_gems,
+    induced_paths_between,
     generators,
     induced_subgraph,
     interval,
     is_chordal,
-    is_gem_solved,
     necessary_conditions,
     recognize_l2,
     recognize_l3,
@@ -91,16 +92,15 @@ def test_gem_min_n_validation(strip7):
 
 def test_lone_gem_is_unsolved():
     g = generators.gem(4)
-    w = next(enumerate_gems(g, 4))
-    solved, path = is_gem_solved(g, w)
-    assert not solved and path is None
+    [(w, path)] = solved_gems(g, 4)
+    assert path is None and certificate_holds(g, 3, w)
 
 
 def test_detour_solves_gem():
     g = augmented_gem4()
     w = GemWitness(InducedPath((0, 1, 2, 3, 4)), 5)
-    solved, path = is_gem_solved(g, w)
-    assert solved
+    path = dict(solved_gems(g, 4))[w]
+    assert not certificate_holds(g, 3, w)
     assert path.vertices == (0, 6, 7, 4)
     assert path.is_induced_in(g) and path.length == 3
     assert 5 not in path.vertices
@@ -116,12 +116,13 @@ def test_gem_solver_matches_reference(small_graph_pool):
         chordal += [g, Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])]
     outcomes = set()
     for g in small_graph_pool + chordal:
-        for w in enumerate_gems(g, 3):
+        gems = list(solved_gems(g, 3))
+        assert [w for w, _ in gems] == list(enumerate_gems(g, 3))
+        for w, path in gems:
             want = brute_gem_solved(g, w.base.vertices, w.apex)
-            solved, path = is_gem_solved(g, w)
-            assert (solved, path) == (want is not None, None if want is None else InducedPath(want)), w
-            outcomes.add(solved)
-        assert list(solved_gems(g, 3)) == [(w, is_gem_solved(g, w)[1]) for w in enumerate_gems(g, 3)]
+            assert path == (None if want is None else InducedPath(want)), w
+            assert certificate_holds(g, 3, w) == (want is None), w
+            outcomes.add(want is None)
     assert outcomes == {True, False}
 
 
@@ -159,9 +160,9 @@ def test_recognizer_solves_each_end_pair_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(pairs) == 481
 
 
-def test_is_gem_solved_rejects_bad_witness(strip7):
-    with pytest.raises(GraphError):
-        is_gem_solved(strip7, GemWitness(InducedPath((0, 1, 3, 5)), 6))
+def test_certificate_refuses_bad_gem_witness(strip7):
+    # 0-1-3-5 is an induced path of the strip, but 6 misses 0, 1 and 3.
+    assert certificate_holds(strip7, 3, GemWitness(InducedPath((0, 1, 3, 5)), 6)) is False
 
 
 # --- k=2 recognition ----------------------------------------------------
@@ -173,13 +174,17 @@ def test_l2_accepts_trivially_perfect_shapes():
         assert verdict.accepted and verdict.certificate is None
 
 
-def walked_l2(g: Graph) -> RecognitionVerdict:
-    """The k=2 verdict by walking for a P4 after the chordality test."""
-    ch = is_chordal(g)
-    if not ch.chordal:
-        return RecognitionVerdict(False, ch.hole)
-    p4 = contains_induced_path(g, 4)
-    return RecognitionVerdict(p4 is None, p4)
+def walked_p4(g: Graph) -> InducedPath | None:
+    """The first induced 3-edge path of g, walked between each pair of
+    nonadjacent vertices in lexicographic order; None when there is none."""
+    paths = (
+        p
+        for u, v in combinations(range(g.n), 2)
+        if not g.has_edge(u, v)
+        for p in induced_paths_between(g, u, v, 3)
+        if p.length == 3
+    )
+    return next(paths, None)
 
 
 def test_l2_and_gems_match_p4_walk(small_graph_pool):
@@ -190,7 +195,10 @@ def test_l2_and_gems_match_p4_walk(small_graph_pool):
     )
     kinds = set()
     for g in pool:
-        walked, verdict = walked_l2(g), recognize_l2(g)
+        p4, ch = walked_p4(g), is_chordal(g)
+        # the k=2 verdict by walking for a P4 after the chordality test
+        walked = RecognitionVerdict(p4 is None, p4) if ch.chordal else RecognitionVerdict(False, ch.hole)
+        verdict = recognize_l2(g)
         assert verdict.accepted == walked.accepted
         assert verdict.certificate_kind == walked.certificate_kind
         if verdict.certificate_kind == "p4":
@@ -198,7 +206,7 @@ def test_l2_and_gems_match_p4_walk(small_graph_pool):
         else:
             assert verdict == walked
         kinds.add(walked.certificate_kind)
-        if contains_induced_path(g, 4) is None:
+        if p4 is None:
             assert list(enumerate_gems(g, 3)) == []
     assert kinds == {None, "hole", "p4"}
 
@@ -299,7 +307,7 @@ def test_far_pair_is_lexicographically_first(small_graph_pool, connected_upto6):
     verdict = recognize_l3(g)
     c = verdict.certificate
     assert (c.u, c.v) == (0, 4)
-    assert bfs_distances(g, c.u)[c.v] == c.distance == 4
+    assert distance(g, c.u, c.v) == c.distance == 4
     seen = set()
     for g in small_graph_pool + connected_upto6:
         if not is_chordal(g).chordal:

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from lkconvex import (
     Graph,
-    contains_induced_path,
     enumerate_gems,
     extreme_points,
     format_graph,
@@ -47,7 +46,6 @@ def test_deep_path_interval():
     paths = list(induced_paths_between(g, 0, DEEP - 1, DEEP))
     assert [p.vertices for p in paths] == [tuple(range(DEEP))]
     assert interval(g, DEEP + 100, 0, DEEP - 1) == frozenset(range(DEEP))
-    assert contains_induced_path(g, DEEP).vertices == tuple(range(DEEP))
 
 
 def test_deep_gem():

@@ -6,7 +6,7 @@ site-packages and none of their .pth start-up hooks), and every top-level
 module that ends up loaded must be part of the standard library or
 lkconvex itself.  No module names os.environ or os.getenv, so every
 setting of a run is on its command line.  Only geometry names the oracle's
-lane tables.
+lane tables.  The package exports exactly the names listed here.
 """
 
 from __future__ import annotations
@@ -82,3 +82,22 @@ def test_one_module_knows_the_lane_tables():
         if name in ("span_table", "scan_convex", "_lanes", "reverse_bits")
     ]
     assert found == []
+
+
+PUBLIC = [
+    "ChordalityResult", "FarPair", "FormatError", "GemWitness", "GeometryVerdict",
+    "Graph", "GraphError", "HoleWitness", "HullTrace", "InducedPath",
+    "InducedSubgraph", "MkmCheck", "MkmViolation", "NotConvexError", "ParsedGraph",
+    "RecognitionVerdict", "SizeCapError", "certificate_holds", "certificate_json",
+    "distance", "enumerate_convex_sets", "enumerate_gems", "extreme_points",
+    "format_graph", "format_vertex_set", "hull", "induced_paths_between",
+    "induced_subgraph", "interval", "interval_of_set", "is_chordal", "is_connected",
+    "is_convex", "lex_bfs", "load_graph", "mkm_check_set", "necessary_conditions",
+    "parse_graph", "recognize_l2", "recognize_l3", "solved_gems", "verify_geometry",
+]
+
+
+def test_public_surface_is_pinned():
+    # Adding or dropping an export is an edit to this list.
+    assert sorted(lkconvex.__all__) == PUBLIC
+    assert all(hasattr(lkconvex, name) for name in PUBLIC)
