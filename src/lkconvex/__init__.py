@@ -27,7 +27,6 @@ from .formats import (
 )
 from .geometry import (
     GeometryVerdict,
-    MkmCheck,
     MkmViolation,
     SizeCapError,
     enumerate_convex_sets,
@@ -72,7 +71,6 @@ __all__ = [
     "HullTrace",
     "InducedPath",
     "InducedSubgraph",
-    "MkmCheck",
     "MkmViolation",
     "NotConvexError",
     "ParsedGraph",

@@ -21,16 +21,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def ids_of(mask: int) -> tuple[int, ...]:
-    """Bitmask to an ascending tuple of vertex ids."""
-    return tuple(iter_bits(mask))
-
-
 def set_of(mask: int) -> frozenset[int]:
     """Bitmask to a frozenset of vertex ids."""
     return frozenset(iter_bits(mask))
-
-
-def reverse_bits(mask: int, n: int) -> int:
-    """The mask with each id v in 0..n-1 renamed n-1-v."""
-    return int(f"{mask:0{n}b}"[::-1], 2)

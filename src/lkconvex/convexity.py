@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 from .bits import iter_bits, mask_of, set_of
 from .graph import (
     Graph,
     GraphError,
-    _balls,
+    _ball_prune,
     _induced_walk,
     _three_edge_middles,
     labeller,
@@ -89,14 +88,8 @@ def _step(g: Graph, k: int, cur: int, new: int) -> int:
         targets = old | new >> u + 1 << u + 1
         if not targets:
             continue
-        near = list(islice(_balls(g, targets, outside), k))
-        near += [near[-1]] * (k - len(near))
         stop = cur ^ 1 << u
-
-        def prune(path: list[int], cand: int) -> int:
-            return 0 if stop >> path[-1] & 1 else cand & near[k - len(path)]
-
-        for path in _induced_walk(g, u, prune):
+        for path in _induced_walk(g, u, _ball_prune(g, targets, outside, k, stop)):
             if len(path) > 2 and stop >> path[-1] & 1:
                 out |= mask_of(path)
     return out

@@ -48,9 +48,6 @@ class ParsedGraph(NamedTuple):
     graph: Graph
     labels: Sequence[int]
 
-    def label_of(self, vertex: int) -> int:
-        return self.labels[vertex]
-
     def vertex_of(self, label: int) -> int:
         try:
             return self.labels.index(label)  # O(1) on the range of a parsed file

@@ -15,9 +15,10 @@ them.  The tables have 2^n lanes, so graphs above MAX_SCAN_N (22) vertices
 are refused.
 
 mkm_check_set checks one set with the public operators instead, taking
-extreme_points for its extremes and the hull they generate.  It shares only
-convexity._interval_mask with the scan (a closed form at k = 2 and 3, a
-walk at k >= 4), and re-checks the oracle's certificates.
+extreme_points for its extremes and the hull they generate, and returns
+the set's MkmViolation, or None when the set is the hull of its extremes.
+It shares only convexity._interval_mask with the scan (a closed form at
+k = 2 and 3, a walk at k >= 4), and re-checks the oracle's certificates.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import convexity
-from .bits import reverse_bits, set_of
+from .bits import set_of
 from .convexity import effective_k, extreme_points, hull
 from .graph import Graph, GraphError, is_connected, labeller
 
@@ -71,23 +71,23 @@ class GeometryVerdict:
         return {"geometry": self.is_geometry, "certificate": cert}
 
 
-class MkmCheck(NamedTuple):
-    holds: bool
-    extreme_points: frozenset[int]
-    hull_of_extremes: frozenset[int]
-
-
-def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmCheck:
-    """Does one convex set equal the hull of its extreme points?
+def mkm_check_set(g: Graph, k: int, vertices: Iterable[int]) -> MkmViolation | None:
+    """The MkmViolation of one convex set, or None when the set is the
+    hull of its extreme points.
 
     Raises NotConvexError when the set is not convex in the first place.
     A set without extreme points (V of a cycle, say) generates the empty
     hull, which hull itself does not accept.
     """
-    vs = tuple(vertices)
+    vs = frozenset(vertices)
     ext = extreme_points(g, k, vs)
     hm = hull(g, k, ext).hull if ext else ext
-    return MkmCheck(hm == frozenset(vs), ext, hm)
+    return None if hm == vs else MkmViolation(vs, ext, hm)
+
+
+def reverse_bits(mask: int, n: int) -> int:
+    """The mask with each id v in 0..n-1 renamed n-1-v, as the lanes index it."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
 def _lanes(table: int, n: int) -> Sequence[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .bits import ids_of, iter_bits, mask_of
+from .bits import iter_bits, mask_of
 
 
 class GraphError(ValueError):
@@ -57,20 +57,12 @@ class Graph:
         return g
 
     @property
-    def vertices(self) -> range:
-        return range(self.n)
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise GraphError(f"vertex {v!r} out of range for n={self.n}")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self.check_vertex(v)
-        return ids_of(self._adj[v])
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
@@ -239,14 +231,23 @@ def _induced_walk(g: Graph, start: int, prune: Callable[[list[int], int], int]) 
             stack.append((more, closed | adj[x], d + 1))
 
 
+def _ball_prune(g: Graph, targets: int, within: int, k: int, stop: int) -> Callable[[list[int], int], int]:
+    """The prune of an _induced_walk for paths with at most k edges that
+    end in targets: a path on L vertices grows only into the vertices
+    within k - L steps of targets through within, so that it can still end
+    there in time, and a path whose tip is in stop does not grow."""
+    near = list(islice(_balls(g, targets, within), k))
+    near += [near[-1]] * (k - len(near))
+    return lambda path, cand: 0 if stop >> path[-1] & 1 else cand & near[k - len(path)]
+
+
 def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[InducedPath]:
     """Stream the induced u-v paths with at most max_len edges.
 
     Requires u != v and max_len >= 1; the stream is empty when u and v are
     disconnected or further apart than max_len.  Paths come out in
-    lexicographic order of their vertex sequences.  A path on L vertices
-    only grows into near[max_len - L], the vertices within max_len - L
-    steps of v, so that it can still end at v in time.
+    lexicographic order of their vertex sequences.  A path only grows
+    toward v while it can still reach v in time, and stops there.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -254,14 +255,7 @@ def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[In
         raise GraphError("endpoints of a path must differ")
     if max_len < 1:
         raise GraphError(f"max_len must be at least 1, got {max_len}")
-    max_len = min(max_len, g.n - 1)
-    near = list(islice(_balls(g, 1 << v), max_len))
-    near += [near[-1]] * (max_len - len(near))
-
-    def prune(path: list[int], cand: int) -> int:
-        return 0 if path[-1] == v else cand & near[max_len - len(path)]
-
-    for path in _induced_walk(g, u, prune):
+    for path in _induced_walk(g, u, _ball_prune(g, 1 << v, -1, min(max_len, g.n - 1), 1 << v)):
         if path[-1] == v:
             yield InducedPath(tuple(path))
 

@@ -109,13 +109,14 @@ def gem_json(w: GemWitness, path: InducedPath | None, labels: Sequence[int] | No
 def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> bool:
     """Re-check a certificate against the graph it came from: an induced
     cycle, an induced 3-edge path (k = 2 only), a pair beyond k, an unsolved
-    gem (k = 3 only), or an oracle violation.  The violation is replayed by
-    mkm_check_set, which shares only _interval_mask with the subset scan:
-    a closed form at k = 2 and 3, a walk at k >= 4."""
+    gem (k = 3 only), or an oracle violation.  The violation holds when
+    mkm_check_set, which returns the violation of a set or None and shares
+    only _interval_mask with the subset scan (a closed form at k = 2 and 3,
+    a walk at k >= 4), returns it again."""
     match cert:
-        case MkmViolation(convex_set, ext, hull):
+        case MkmViolation():
             try:
-                return mkm_check_set(g, k, convex_set) == (False, ext, hull)
+                return mkm_check_set(g, k, cert.convex_set) == cert
             except (NotConvexError, GraphError):
                 return False
         case HoleWitness():

@@ -352,8 +352,8 @@ def brute_lex_bfs(g: Graph) -> tuple[int, ...]:
     for step in range(g.n):
         best = max((x for x in range(g.n) if x not in order), key=lambda x: (labels[x], -x))
         order.append(best)
-        for y in g.neighbors(best):
-            if y not in order:
+        for y in range(g.n):
+            if g.has_edge(best, y) and y not in order:
                 labels[y].append(g.n - step)
     return tuple(order)
 

@@ -281,7 +281,7 @@ def test_criterion_7_connected_convex_sets_have_small_diameter():
             sub = induced_subgraph(g, s)
             if is_connected(sub.graph):
                 checked_sets += 1
-                if any(distance(sub.graph, u, v) > 3 for u in sub.graph.vertices for v in range(u)):
+                if any(distance(sub.graph, u, v) > 3 for u in range(sub.graph.n) for v in range(u)):
                     problems.append(f"instance {draws}: set {sorted(s)} too wide")
     if found < 100:
         problems.append(f"only {found} accepted instances in {draws} draws")

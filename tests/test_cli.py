@@ -207,6 +207,38 @@ def test_crosscheck_random(capsys, tmp_path):
     assert data["instances"] == 25 and data["mismatches"] == 0
 
 
+def test_crosscheck_dumps_each_mismatch(capsys, tmp_path, monkeypatch):
+    # an oracle that is wrong on the triangle alone
+    triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    real = cli.verify_geometry
+
+    def flipped(g, k):
+        verdict = real(g, k)
+        return GeometryVerdict(not verdict.is_geometry, None) if g == triangle else verdict
+
+    monkeypatch.setattr(cli, "verify_geometry", flipped)
+    code, data = run_json(
+        capsys,
+        ["crosscheck", "--k", "2", "--exhaustive-n", "3",
+         "--dump-dir", str(tmp_path), "--json"],
+    )
+    assert code == 1
+    assert data["mismatches"] == len(data["dumped"]) == 1
+    for name in data["dumped"]:
+        assert formats.load_graph(name).graph == triangle
+        first = Path(name).read_text().splitlines()[0]
+        assert first == "# exhaustive n=3: recognizer=True oracle=False"
+
+
+def test_crosscheck_rejects_exhaustive_n_out_of_range(capsys, tmp_path):
+    for n in ("7", "0"):
+        assert main(["crosscheck", "--k", "2", "--exhaustive-n", n,
+                     "--dump-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must lie in 1..6" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_crosscheck_needs_work(capsys):
     assert main(["crosscheck", "--k", "2"]) == 2
     capsys.readouterr()

@@ -199,7 +199,7 @@ def _pair_within(g, k, rng):
     """A random pair at distance 2..k, whose interval holds more than the pair."""
     while True:
         u = rng.randrange(g.n)
-        near = [x for x in g.vertices if 2 <= distance(g, u, x) <= k]
+        near = [x for x in range(g.n) if 2 <= distance(g, u, x) <= k]
         if near:
             return {u, rng.choice(near)}
 

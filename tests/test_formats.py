@@ -46,7 +46,7 @@ def test_parse_dimacs():
     assert parsed.graph.n == 4 and parsed.graph.m == 4
     assert parsed.labels == range(1, 5)
     assert parsed.graph.has_edge(0, 1)  # file edge 'e 1 2'
-    assert parsed.label_of(0) == 1
+    assert parsed.labels[0] == 1
     assert parsed.vertex_of(4) == 3
     for label in (9, 0, -3):
         with pytest.raises(FormatError):

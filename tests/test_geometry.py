@@ -123,12 +123,17 @@ def test_disconnected_graph_refused_before_the_table():
 
 
 def test_mkm_check_set(strip7):
-    ok, ext, hull_of_ext = mkm_check_set(strip7, 3, range(7))
-    assert ok and ext == {0, 6} and hull_of_ext == set(range(7))
-    ok, ext, hull_of_ext = mkm_check_set(strip7, 3, {0, 1, 2, 3, 4, 5})
-    assert ok and ext == {0, 5} and hull_of_ext == {0, 1, 2, 3, 4, 5}
+    for s, ext in ((range(7), {0, 6}), ({0, 1, 2, 3, 4, 5}, {0, 5})):
+        assert mkm_check_set(strip7, 3, s) is None
+        assert extreme_points(strip7, 3, s) == ext
+        assert hull(strip7, 3, ext).hull == set(s)
     with pytest.raises(NotConvexError):
         mkm_check_set(strip7, 3, {0, 6})
+    # V of the 4-gem at k = 3: its extremes are the base's ends, whose only
+    # induced path with at most three edges runs through the apex
+    g = generators.gem(4)
+    want = MkmViolation(frozenset(range(6)), frozenset({0, 4}), frozenset({0, 4, 5}))
+    assert mkm_check_set(g, 3, range(6)) == want == verify_geometry(g, 3).violation
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -136,10 +141,11 @@ def test_mkm_check_set_without_extremes(n):
     # V of a cycle is convex with no extreme point; its replay is empty
     # (hull refuses the empty set), so the oracle's certificate holds
     g = generators.cycle(n)
+    whole = frozenset(range(n))
     for k in (2, 3, 4):
-        assert mkm_check_set(g, k, range(n)) == (False, frozenset(), frozenset())
+        assert mkm_check_set(g, k, range(n)) == MkmViolation(whole, frozenset(), frozenset())
         assert certificate_holds(g, k, verify_geometry(g, k).violation)
-    assert mkm_check_set(g, 3, []) == (True, frozenset(), frozenset())
+    assert mkm_check_set(g, 3, []) is None
 
 
 def test_violation_sets_agree_with_public_ops(small_graph_pool):

@@ -29,7 +29,7 @@ from lkconvex.graph import _adjacent_exactly_in_order, _balls, simplicial_mask
 def test_construction_basics():
     g = Graph(3, [(0, 1), (1, 2)])
     assert g.n == 3 and g.m == 2
-    assert g.neighbors(1) == (0, 2)
+    assert list(iter_bits(g._adj[1])) == [0, 2]
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
     assert g.edges() == [(0, 1), (1, 2)]
 
@@ -55,7 +55,7 @@ def test_bad_construction():
 
 def test_vertex_range_checks(strip7):
     with pytest.raises(GraphError):
-        strip7.neighbors(7)
+        strip7.has_edge(0, 7)
     with pytest.raises(GraphError):
         distance(strip7, 0, -1)
 

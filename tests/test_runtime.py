@@ -73,11 +73,11 @@ def test_package_reads_no_environment():
 
 def test_one_module_knows_the_lane_tables():
     # The oracle's tables, their 32-bit lane layout and the reversed ids they
-    # index belong to geometry; bits only defines reverse_bits.
+    # index belong to geometry.
     found = [
         f"{path.name}:{line}: {name}"
         for path in _package_modules()
-        if path.name not in ("geometry.py", "bits.py")
+        if path.name != "geometry.py"
         for name, line in _names(path)
         if name in ("span_table", "scan_convex", "_lanes", "reverse_bits")
     ]
@@ -87,7 +87,7 @@ def test_one_module_knows_the_lane_tables():
 PUBLIC = [
     "ChordalityResult", "FarPair", "FormatError", "GemWitness", "GeometryVerdict",
     "Graph", "GraphError", "HoleWitness", "HullTrace", "InducedPath",
-    "InducedSubgraph", "MkmCheck", "MkmViolation", "NotConvexError", "ParsedGraph",
+    "InducedSubgraph", "MkmViolation", "NotConvexError", "ParsedGraph",
     "RecognitionVerdict", "SizeCapError", "certificate_holds", "certificate_json",
     "distance", "enumerate_convex_sets", "enumerate_gems", "extreme_points",
     "format_graph", "format_vertex_set", "hull", "induced_paths_between",
