@@ -36,7 +36,7 @@ from .formats import (
     graph_lines,
     load_graph,
 )
-from .geometry import MAX_SCAN_N, SizeCapError, verify_geometry
+from .geometry import MAX_SCAN_N, SizeCapError, mkm_check_set, verify_geometry
 from .graph import Graph, GraphError, induced_paths_between, induced_subgraph
 from .recognizers import (
     certificate_holds,
@@ -369,11 +369,11 @@ def cmd_demo_non_hereditary(args: argparse.Namespace) -> tuple[int, dict]:
     for victim in (1, 4):
         sub = induced_subgraph(g, set(range(7)) - {victim})
         entry = examine(sub.graph, sub.parent_ids, f"strip minus vertex {victim}", False)
-        ext = extreme_points(sub.graph, 3, range(sub.graph.n))
-        trace = hull(sub.graph, 3, ext)
-        entry["extremes_of_all"] = sorted(sub.parent_ids[x] for x in ext)
-        entry["hull_of_extremes"] = sorted(sub.parent_ids[x] for x in trace.hull)
-        checks.append(trace.hull == ext and len(ext) == 2)
+        v = mkm_check_set(sub.graph, 3, range(sub.graph.n))
+        if v is not None:
+            entry["extremes_of_all"] = sorted(sub.parent_ids[x] for x in v.extreme_points)
+            entry["hull_of_extremes"] = sorted(sub.parent_ids[x] for x in v.hull_of_extremes)
+        checks.append(v is not None and v.hull_of_extremes == v.extreme_points and len(v.extreme_points) == 2)
         steps.append(entry)
 
     ok = all(checks)

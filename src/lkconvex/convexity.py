@@ -28,14 +28,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .bits import iter_bits, mask_of, set_of
 from .graph import (
     Graph,
     GraphError,
     _ball_prune,
     _induced_walk,
     _three_edge_middles,
+    iter_bits,
     labeller,
+    mask_of,
+    set_of,
     simplicial_mask,
 )
 

@@ -25,8 +25,7 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .bits import iter_bits
-from .graph import Graph
+from .graph import Graph, iter_bits
 
 # Largest vertex count a file may declare.  Graph allocates per vertex up
 # front, so an absurd header would otherwise exhaust memory before any check.

@@ -10,8 +10,7 @@ import random
 from collections.abc import Iterator
 from itertools import combinations
 
-from .bits import iter_bits
-from .graph import Graph, GraphError, is_connected
+from .graph import Graph, GraphError, is_connected, iter_bits
 
 _STRIP7_EDGES = (
     (0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3),

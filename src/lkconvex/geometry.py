@@ -24,13 +24,13 @@ k = 2 and 3, a walk at k >= 4), and re-checks the oracle's certificates.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import convexity
-from .bits import set_of
 from .convexity import effective_k, extreme_points, hull
-from .graph import Graph, GraphError, is_connected, labeller
+from .graph import Graph, GraphError, is_connected, labeller, set_of
 
 # The one size bound of the subset scan, whose tables hold one 32-bit lane
 # per subset, 2^n in all.  At 22 vertices each table is 16 MiB, and any
@@ -90,15 +90,11 @@ def reverse_bits(mask: int, n: int) -> int:
     return int(f"{mask:0{n}b}"[::-1], 2)
 
 
-def _lanes(table: int, n: int) -> Sequence[int]:
-    """The 2^n 32-bit lanes of table as a sequence: lane S at index S."""
-    raw = table.to_bytes(4 << n, "little")
-    if sys.byteorder == "little":
-        return memoryview(raw).cast("I")
-    from array import array  # big-endian hosts only, so no other pays to load it
-
-    lanes = array("I", raw)
-    lanes.byteswap()
+def _lanes(table: int, n: int) -> array:
+    """The 2^n 32-bit lanes of table as an array: lane S at index S."""
+    lanes = array("I", table.to_bytes(4 << n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
     return lanes
 
 

@@ -2,9 +2,11 @@
 
 Vertices are the integers 0..n-1.  Each neighborhood is kept as one
 bitmask, read in ascending bit order wherever it is iterated, and a Graph
-is treated as immutable once constructed.  Everything that enumerates
-vertices, paths or witnesses does so in ascending id order so repeated runs
-give byte-identical output.
+is treated as immutable once constructed.  Any set of vertices is stored
+the same way, as an int with bit v for vertex v; mask_of, iter_bits and
+set_of convert between such masks and vertex ids.  Everything that
+enumerates vertices, paths or witnesses does so in ascending id order so
+repeated runs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,26 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
-from .bits import iter_bits, mask_of
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """Pack vertex ids into a bitmask."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of mask in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def set_of(mask: int) -> frozenset[int]:
+    """Bitmask to a frozenset of vertex ids."""
+    return frozenset(iter_bits(mask))
 
 
 class GraphError(ValueError):
@@ -63,10 +84,6 @@ class Graph:
     def check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise GraphError(f"vertex {v!r} out of range for n={self.n}")
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self._adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)

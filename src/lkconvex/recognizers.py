@@ -25,7 +25,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
-from .bits import iter_bits, mask_of
 from .graph import (
     Graph,
     GraphError,
@@ -36,7 +35,9 @@ from .graph import (
     _three_edge_middles,
     distance,
     is_connected,
+    iter_bits,
     labeller,
+    mask_of,
 )
 from .chordal import is_chordal
 from .convexity import NotConvexError, effective_k

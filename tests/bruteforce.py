@@ -14,7 +14,7 @@ from collections.abc import Callable
 from itertools import combinations, permutations
 
 from lkconvex import Graph, MkmViolation
-from lkconvex.bits import set_of
+from lkconvex.graph import set_of
 
 
 def subsets(vs, min_size=0, max_size=None):

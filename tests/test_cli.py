@@ -364,6 +364,10 @@ def test_operational_errors(capsys, tmp_path, strip_file):
     assert main(["interval", strip_file, "--k", "3", "--pair", "0"]) == 2
     assert main(["interval", strip_file, "--k", "3", "--pair", "0,99"]) == 2
     capsys.readouterr()
+    for cmd, flag, ids in (("interval", "--pair", "1,x"), ("hull", "--set", "0,y")):
+        assert main([cmd, strip_file, "--k", "3", flag, ids]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"{flag} must be comma-separated integers" in err
 
 
 class _BrokenPipe(io.StringIO):

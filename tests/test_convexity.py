@@ -30,8 +30,8 @@ from lkconvex import (
     is_chordal,
     is_convex,
 )
-from lkconvex.bits import iter_bits, set_of
 from lkconvex.convexity import _interval_mask, _step, effective_k
+from lkconvex.graph import iter_bits, set_of
 
 # the nine convex sets of the strip that are neither cliques nor trivial
 STRIP_LADDERS = [

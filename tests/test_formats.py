@@ -51,6 +51,7 @@ def test_parse_dimacs():
     for label in (9, 0, -3):
         with pytest.raises(FormatError):
             parsed.vertex_of(label)
+    assert parse_graph("p edge 2 1\nc after the header\ne 1 2\n").graph.edges() == [(0, 1)]
 
 
 def test_vertex_of_hand_built_labels():
@@ -118,6 +119,8 @@ def test_malformed_dimacs():
         parse_graph("p edge 3 2\ne 1 2\n")  # count mismatch
     with pytest.raises(FormatError):
         parse_graph("p edge 3 1\nq 1 2\n")
+    with pytest.raises(FormatError, match="unrecognized line tag 'x'"):
+        parse_graph("c a comment\nx 1 2\np edge 3 1\ne 1 2\n")  # before the header
     with pytest.raises(FormatError, match="exceeds the limit"):
         parse_graph("p edge 100000000000 0\n")  # refused before allocating
 

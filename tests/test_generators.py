@@ -28,7 +28,7 @@ def test_path_cycle_complete_star_shapes():
     assert generators.cycle(4).edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert generators.complete(5).m == 10
     g = generators.star(5)
-    assert g.degree(0) == 4 and all(g.degree(v) == 1 for v in range(1, 5))
+    assert g._adj[0].bit_count() == 4 and all(g._adj[v].bit_count() == 1 for v in range(1, 5))
     for bad in (generators.path, generators.complete, generators.star):
         with pytest.raises(GraphError):
             bad(0)
@@ -41,7 +41,7 @@ def test_gem_shape():
         g = generators.gem(n)
         assert g.n == n + 2 and g.m == 2 * n + 1
         apex = n + 1
-        assert g.degree(apex) == n + 1
+        assert g._adj[apex].bit_count() == n + 1
         assert InducedPath(tuple(range(n + 1))).is_induced_in(g)
     with pytest.raises(GraphError):
         generators.gem(2)
@@ -72,8 +72,6 @@ def test_random_chordal_family():
     assert generators.random_connected_chordal(8, 0.4, 2) == (
         generators.random_connected_chordal(8, 0.4, 2)
     )
-    with pytest.raises(GraphError):
-        generators.random_connected_chordal(5, 1.5, 0)
 
 
 def test_random_connected_family():
@@ -83,6 +81,19 @@ def test_random_connected_family():
     assert generators.random_connected(9, 0.3, 1) == generators.random_connected(9, 0.3, 1)
     dense = generators.random_connected(9, 1.0, 0)
     assert dense.m == 9 * 8 // 2
+
+
+@pytest.mark.parametrize("family, args", [
+    ("random_trivially_perfect", (0, 0)),
+    ("random_connected_chordal", (0, 0.5, 0)),
+    ("random_connected_chordal", (5, 1.5, 0)),
+    ("random_connected", (0, 0.5, 0)),
+    ("random_connected", (5, -0.1, 0)),
+    ("random_connected", (5, 1.5, 0)),
+])
+def test_random_families_refuse_bad_parameters(family, args):
+    with pytest.raises(GraphError):
+        getattr(generators, family)(*args)
 
 
 def test_all_connected_graphs_counts():

@@ -30,8 +30,8 @@ from lkconvex import (
     mkm_check_set,
     verify_geometry,
 )
-from lkconvex.bits import set_of
 from lkconvex.convexity import _interval_mask, effective_k
+from lkconvex.graph import set_of
 
 
 def test_strip_is_geometry(strip7):

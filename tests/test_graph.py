@@ -22,8 +22,7 @@ from lkconvex import (
     induced_subgraph,
     is_connected,
 )
-from lkconvex.bits import iter_bits, set_of
-from lkconvex.graph import _adjacent_exactly_in_order, _balls, simplicial_mask
+from lkconvex.graph import _adjacent_exactly_in_order, _balls, iter_bits, set_of, simplicial_mask
 
 
 def test_construction_basics():

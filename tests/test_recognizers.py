@@ -14,6 +14,7 @@ from lkconvex import (
     InducedPath,
     RecognitionVerdict,
     certificate_holds,
+    certificate_json,
     distance,
     enumerate_gems,
     induced_paths_between,
@@ -27,7 +28,7 @@ from lkconvex import (
     solved_gems,
 )
 from lkconvex import recognizers
-from lkconvex.bits import set_of
+from lkconvex.graph import set_of
 
 
 def augmented_gem4() -> Graph:
@@ -342,6 +343,8 @@ def test_verdict_json_shapes(strip7):
     assert d["accepted"] and all(
         set(row) == {"base", "apex", "solving_path"} for row in d["solved_gems"]
     )
+    with pytest.raises(TypeError):
+        certificate_json(object())
 
 
 def test_verdict_json_labels():
@@ -379,6 +382,10 @@ def test_certificates_hold_and_corruptions_fail(small_graph_pool, strip7):
         FarPair(0, 6, 3),  # not beyond k=3
         FarPair(0, 7, 3),  # 7 is not a vertex
         GemWitness(InducedPath((0, 1, 3, 5)), 2),  # apex misses 5
+        GemWitness(InducedPath((0, 1, 3)), 2),  # base of only 2 edges
+        GemWitness(InducedPath((0, 1, 3, 5)), 7),  # 7 is not a vertex
+        GemWitness(InducedPath((0, 1, 3, 5)), 3),  # apex on the base
+        object(),  # not a certificate
         InducedPath((0, 1, 3, 5)),  # a real P4, but a P4 rejects only at k=2
     ):
         assert not certificate_holds(strip7, 3, bad), bad

@@ -6,7 +6,8 @@ site-packages and none of their .pth start-up hooks), and every top-level
 module that ends up loaded must be part of the standard library or
 lkconvex itself.  No module names os.environ or os.getenv, so every
 setting of a run is on its command line.  Only geometry names the oracle's
-lane tables.  The package exports exactly the names listed here.
+lane tables.  The package holds exactly the modules listed here and
+exports exactly the names listed here.
 """
 
 from __future__ import annotations
@@ -82,6 +83,17 @@ def test_one_module_knows_the_lane_tables():
         if name in ("span_table", "scan_convex", "_lanes", "reverse_bits")
     ]
     assert found == []
+
+
+MODULES = [
+    "chordal", "cli", "convexity", "formats", "generators", "geometry", "graph",
+    "recognizers",
+]
+
+
+def test_module_list_is_pinned():
+    # Adding or dropping a module is an edit to this list.
+    assert sorted(m.name for m in pkgutil.iter_modules(lkconvex.__path__)) == MODULES
 
 
 PUBLIC = [
