@@ -29,7 +29,6 @@ from .geometry import (
     GeometryVerdict,
     MkmViolation,
     SizeCapError,
-    enumerate_convex_sets,
     mkm_check_set,
     verify_geometry,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "certificate_holds",
     "certificate_json",
     "distance",
-    "enumerate_convex_sets",
     "enumerate_gems",
     "extreme_points",
     "format_graph",

@@ -7,8 +7,8 @@ affirmative answer, 1 for a negative answer that carries a certificate, and
 result fields, and main renders them once: with --json, one JSON object
 with sorted keys on one line of stdout, which ``python3 -m json.tool``
 pretty-prints; otherwise text built from the same fields.  Certificates
-are re-checked right before being printed; a certificate that fails its
-check is an internal error, not a verdict.
+and solving paths are re-checked right before being printed; one that
+fails its check is an internal error, not a verdict.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ from .recognizers import (
 )
 
 _FAMILIES = {
-    "triangle-strip7": ("", lambda a: generators.triangle_strip7()),
-    "path": ("n", lambda a: generators.path(a.n)),
-    "cycle": ("n", lambda a: generators.cycle(a.n)),
-    "complete": ("n", lambda a: generators.complete(a.n)),
-    "star": ("n", lambda a: generators.star(a.n)),
-    "gem": ("n", lambda a: generators.gem(a.n)),
-    "trivially-perfect": ("n seed", lambda a: generators.random_trivially_perfect(a.n, a.seed)),
-    "chordal": ("n density seed", lambda a: generators.random_connected_chordal(a.n, a.density, a.seed)),
-    "connected": ("n density seed", lambda a: generators.random_connected(a.n, a.density, a.seed)),
+    "triangle-strip7": ("", generators.triangle_strip7),
+    "path": ("n", generators.path),
+    "cycle": ("n", generators.cycle),
+    "complete": ("n", generators.complete),
+    "star": ("n", generators.star),
+    "gem": ("n", generators.gem),
+    "trivially-perfect": ("n seed", generators.random_trivially_perfect),
+    "chordal": ("n density seed", generators.random_connected_chordal),
+    "connected": ("n density seed", generators.random_connected),
 }
 
 
@@ -81,6 +81,20 @@ def _write(text: str) -> None:
 def _check(g: Graph, k: int, cert) -> None:
     if cert is not None and not certificate_holds(g, k, cert):
         raise _InternalCheckError(f"certificate failed re-validation: {cert!r}")
+
+
+def _check_solving_paths(g: Graph, pairs) -> None:
+    """Re-check the (gem, solving path) pairs, each end pair's path once: an
+    induced 3-edge path between its gem's base ends.  The apex needs no
+    check, since it sees both ends and each inner vertex of an induced
+    3-edge path misses one of them."""
+    checked = {}  # base ends -> the path last checked for them
+    for w, p in pairs:
+        ends = w.base.vertices[0], w.base.vertices[-1]
+        if p is not None and checked.get(ends) is not p:
+            if not (p.length == 3 and (p.vertices[0], p.vertices[-1]) == ends and p.is_induced_in(g)):
+                raise _InternalCheckError(f"solving path failed re-validation: {p!r} for {w!r}")
+            checked[ends] = p
 
 
 def _check_refusal(g: Graph, k: int, vertices: list[int], exc: NotConvexError) -> None:
@@ -128,6 +142,7 @@ def cmd_recognize(args: argparse.Namespace, parsed: ParsedGraph) -> tuple[int, d
     g = parsed.graph
     verdict = recognize_l2(g) if args.k == 2 else recognize_l3(g)
     _check(g, args.k, verdict.certificate)
+    _check_solving_paths(g, verdict.solved_gems)
     fields = {"k": args.k, "solved_gems": [], **verdict.to_json_dict(parsed.labels)}
     return (0 if verdict.accepted else 1), fields
 
@@ -220,8 +235,10 @@ def text_extremes(f: dict) -> list[str]:
 
 
 def cmd_gems(args: argparse.Namespace, parsed: ParsedGraph) -> tuple[int, dict]:
+    pairs = list(solved_gems(parsed.graph, args.min_n))
+    _check_solving_paths(parsed.graph, pairs)
     rows = [{**gem_json(w, p, parsed.labels), "n": w.n, "solved": p is not None}
-            for w, p in solved_gems(parsed.graph, args.min_n)]
+            for w, p in pairs]
     solved = sum(row["solved"] for row in rows)
     counts = {"total": len(rows), "solved": solved, "unsolved": len(rows) - solved}
     return 0, {"min_n": args.min_n, "gems": rows, "counts": counts}
@@ -312,8 +329,8 @@ def text_crosscheck(f: dict) -> list[str]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = _FAMILIES[args.family]
-    needed = spec[0].split()
+    spec, make = _FAMILIES[args.family]
+    needed = spec.split()
     for field in needed:
         if getattr(args, field) is None:
             raise FormatError(f"family {args.family!r} needs --{field}")
@@ -323,7 +340,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if count > formats.MAX_VERTICES:
             built = "" if count == args.n else f" ({count} vertices)"
             raise FormatError(f"--n {args.n}{built} exceeds the vertex limit of {formats.MAX_VERTICES}")
-    g = spec[1](args)
+    g = make(*(getattr(args, field) for field in needed))
     check_readable(g)  # write nothing that the reading commands would refuse
     pieces = [f"family={args.family}"]
     for field in needed:

@@ -10,9 +10,8 @@ structural recognizers are validated against, so it stays brute force.
 
 This module alone holds the subset scan: span_table builds its tables over
 every subset at once, one 32-bit lane per subset, scan_convex walks the
-convex sets off them, and enumerate_convex_sets and verify_geometry read
-them.  The tables have 2^n lanes, so graphs above MAX_SCAN_N (22) vertices
-are refused.
+convex sets off them, and verify_geometry is their one reader.  The tables
+have 2^n lanes, so graphs above MAX_SCAN_N (22) vertices are refused.
 
 mkm_check_set checks one set with the public operators instead, taking
 extreme_points for its extremes and the hull they generate, and returns
@@ -173,17 +172,6 @@ def scan_convex(key: bytes) -> Iterator[int]:
         s = len(key)
         while (s := key.rfind(size, 0, s)) >= 0:
             yield s
-
-
-def enumerate_convex_sets(g: Graph, k: int) -> list[frozenset[int]]:
-    """All convex sets, in increasing size and lexicographic order within a size.
-
-    The scan is exhaustive over the 2^n subsets, so graphs with more than
-    MAX_SCAN_N (22) vertices are refused with SizeCapError.
-    """
-    n = g.n
-    key = span_table(g, k)[2]
-    return [frozenset()] + [set_of(reverse_bits(s, n)) for s in scan_convex(key)]
 
 
 def verify_geometry(g: Graph, k: int) -> GeometryVerdict:

@@ -15,7 +15,6 @@ import pytest
 from bruteforce import brute_simplicial, is_clique, subsets
 from lkconvex import (
     distance,
-    enumerate_convex_sets,
     enumerate_gems,
     extreme_points,
     generators,
@@ -54,7 +53,7 @@ def test_criterion_1_strip_fixture_values():
     if tr.steps != 2 or tr.hull != set(range(7)):
         problems.append(f"hull trace: steps={tr.steps} hull={sorted(tr.hull)}")
 
-    got = enumerate_convex_sets(g, 3)
+    got = [frozenset(s) for s in subsets(range(7)) if is_convex(g, 3, s)]
     cliques = {
         frozenset(s) for s in subsets(range(7), min_size=1) if is_clique(g, s)
     }
@@ -275,8 +274,8 @@ def test_criterion_7_connected_convex_sets_have_small_diameter():
         if not necessary_conditions(g, 3).accepted:
             continue
         found += 1
-        for s in enumerate_convex_sets(g, 3):
-            if not s:
+        for s in subsets(range(g.n), min_size=1):
+            if not is_convex(g, 3, s):
                 continue
             sub = induced_subgraph(g, s)
             if is_connected(sub.graph):

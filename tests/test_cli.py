@@ -22,7 +22,7 @@ from lkconvex import (
     format_graph,
     generators,
 )
-from lkconvex import formats
+from lkconvex import formats, recognizers
 from lkconvex.cli import main
 
 DIMACS_STRIP = """\
@@ -455,6 +455,36 @@ def test_extremes_refuses_failing_refusal(capsys, monkeypatch, strip_file, label
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
+
+
+def _bad_solving_path(kind):
+    real = recognizers._solving_path
+
+    def wrong(adj, x0, xn):
+        p = real(adj, x0, xn)
+        if kind == "two-edge":
+            # induced, through a common neighbour such as the gem's apex
+            both = adj[x0] & adj[xn]
+            return InducedPath((x0, (both & -both).bit_length() - 1, xn))
+        if p is None:
+            return None
+        v = p.vertices
+        # reversed: the ends swap places; swapped: x0 does not see the new second vertex
+        return InducedPath(v[::-1] if kind == "reversed" else (v[0], v[2], v[1], v[3]))
+
+    return wrong
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("case", ["solved-recognize-k3", "solved-gems"])
+@pytest.mark.parametrize("kind", ["two-edge", "reversed", "swapped"])
+def test_failing_solving_path_is_refused(capsys, monkeypatch, tmp_path, kind, case, flags):
+    # the pinned cases accept and print their solving paths with exit 0
+    monkeypatch.setattr(recognizers, "_solving_path", _bad_solving_path(kind))
+    assert main(pinned_argv(case, tmp_path) + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: solving path")
 
 
 def test_usage_error_exits_2(strip_file):

@@ -18,9 +18,7 @@ from lkconvex import (
     Graph,
     GraphError,
     NotConvexError,
-    SizeCapError,
     distance,
-    enumerate_convex_sets,
     extreme_points,
     generators,
     hull,
@@ -249,12 +247,13 @@ def test_is_convex_strip(strip7):
 
 
 def test_is_convex_matches_bruteforce(small_graph_pool):
-    for g in small_graph_pool:
-        if g.n > 7:
-            continue
+    # the pool on sets of at most three vertices, four sparse graphs on every set
+    cases = [(g, 3) for g in small_graph_pool if g.n <= 7]
+    cases += [(generators.random_connected(6, 0.35, seed), None) for seed in range(4)]
+    for g, max_size in cases:
         for k in (2, 3):
-            for s in subsets(range(g.n), max_size=3):
-                assert is_convex(g, k, s) == brute_is_convex(g, k, s)
+            for s in subsets(range(g.n), max_size=max_size):
+                assert is_convex(g, k, s) == brute_is_convex(g, k, s), (g.edges(), k, s)
 
 
 def test_monophonic_limit_agrees_with_subset_oracle():
@@ -293,8 +292,13 @@ def test_extreme_points_equal_simplicial_of_subgraph(small_graph_pool):
             assert extreme_points(g, k, full) == brute_simplicial(g, full)
 
 
+def _convex_sets(g, k):
+    """Every convex set, by size, then lexicographic within a size."""
+    return [frozenset(s) for s in subsets(range(g.n)) if is_convex(g, k, s)]
+
+
 def test_enumerate_strip_exact(strip7):
-    got = enumerate_convex_sets(strip7, 3)
+    got = _convex_sets(strip7, 3)
     cliques = {
         frozenset(s)
         for s in subsets(range(7), min_size=1)
@@ -308,47 +312,24 @@ def test_enumerate_strip_exact(strip7):
     assert len(cliques) == 23  # 7 singletons, 11 edges, 5 triangles
     assert set(got) == expected
     assert len(got) == 34
-    # ordering: by size, then lexicographic within a size
-    keys = [(len(s), tuple(sorted(s))) for s in got]
-    assert keys == sorted(keys)
 
 
 def test_enumerate_small_shapes():
     k3 = generators.complete(3)
-    assert len(enumerate_convex_sets(k3, 2)) == 8  # every subset of a clique
+    assert len(_convex_sets(k3, 2)) == 8  # every subset of a clique
     c4 = generators.cycle(4)
-    got = set(enumerate_convex_sets(c4, 2))
+    got = set(_convex_sets(c4, 2))
     expected = {frozenset(), frozenset(range(4))}
     expected |= {frozenset({v}) for v in range(4)}
     expected |= {frozenset(e) for e in c4.edges()}
     assert got == expected
 
 
-def test_enumerate_matches_bruteforce():
-    for seed in range(4):
-        g = generators.random_connected(6, 0.35, seed)
-        for k in (2, 3):
-            got = set(enumerate_convex_sets(g, k))
-            expected = {
-                frozenset(s)
-                for s in subsets(range(g.n))
-                if brute_is_convex(g, k, s)
-            }
-            assert got == expected
-
-
-def test_enumerate_cap():
-    assert len(enumerate_convex_sets(generators.path(17), 3)) > 0
-    for n in (23, 40):
-        with pytest.raises(SizeCapError, match=f"refusing to scan subsets of {n} vertices.*at most 22 vertices"):
-            enumerate_convex_sets(generators.path(n), 3)
-
-
 def test_convex_sets_closed_under_intersection(small_graph_pool):
     for g in small_graph_pool:
         if g.n > 7:
             continue
-        sets = enumerate_convex_sets(g, 3)
+        sets = _convex_sets(g, 3)
         sample = sets[:: max(1, len(sets) // 12)]
         for a in sample:
             for b in sample:

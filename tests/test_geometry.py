@@ -21,7 +21,6 @@ from lkconvex import (
     NotConvexError,
     SizeCapError,
     certificate_holds,
-    enumerate_convex_sets,
     extreme_points,
     generators,
     hull,
@@ -31,7 +30,7 @@ from lkconvex import (
     verify_geometry,
 )
 from lkconvex.convexity import _interval_mask, effective_k
-from lkconvex.graph import set_of
+from lkconvex.geometry import reverse_bits, scan_convex, span_table
 
 
 def test_strip_is_geometry(strip7):
@@ -102,7 +101,7 @@ def test_verify_geometry_guards():
     assert verify_geometry(generators.path(17), 3).is_geometry is False
     # past the scan's ceiling, refused before the 2^n table
     for n in (23, 40):
-        with pytest.raises(SizeCapError, match="at most 22 vertices"):
+        with pytest.raises(SizeCapError, match=f"refusing to scan subsets of {n} vertices.*at most 22 vertices"):
             verify_geometry(generators.path(n), 3)
     with pytest.raises(GraphError):
         verify_geometry(Graph(3, [(0, 1)]), 2)
@@ -202,7 +201,8 @@ def _assert_matches_reference_scan(g, k) -> bool:
     convex, violation = reference_scan(g.n, lambda u, v: intervals[u, v])
     verdict = verify_geometry(g, k)
     assert (verdict.is_geometry, verdict.violation) == (violation is None, violation), (g.edges(), k)
-    assert enumerate_convex_sets(g, k) == [frozenset()] + [set_of(s) for s in convex], (g.edges(), k)
+    lanes = scan_convex(span_table(g, k)[2])
+    assert [reverse_bits(s, g.n) for s in lanes] == convex, (g.edges(), k)
     return verdict.is_geometry
 
 
