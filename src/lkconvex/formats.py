@@ -10,12 +10,12 @@ Two dialects are read:
 Parsing keeps the vertex labels as they appeared in the file, so reports
 can speak the caller's language; internally everything is 0-based.
 
-A file is read in one pass, a piece at a time and never whole, and its
-edges are streamed into Graph, which checks each of them once.  Each
-dialect's reader turns lines into 0-based pairs and refuses the first
-malformed one; one stage bounds the masks and counts the edges for both.
-So every fault is reported where it is read, and a wrong edge count after
-the last edge.  Parsed labels are ranges.
+A file is read in one pass, a piece at a time and never whole.  After
+the header, one loop serves both dialects: each line is split, checked,
+and its edge set straight into the adjacency masks, with no stage between
+the line and the masks and no copy of the edges.  So every fault is
+reported where it is read, and a wrong edge count after the last edge.
+Parsed labels are ranges.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-from .graph import Graph, iter_bits
+from .graph import Graph, edge_fault, empty_masks, iter_bits
 
 # Largest vertex count a file may declare.  Graph allocates per vertex up
 # front, so an absurd header would otherwise exhaust memory before any check.
@@ -35,7 +35,9 @@ MAX_VERTICES = 100_000
 # long as its highest neighbor id, so a path on n vertices needs n^2/16 bytes:
 # 0.6 GB for a 1.2 MB file at MAX_VERTICES.  64 MiB admits a 32,000-vertex
 # path, 20 times the longest the tests, demos and benchmark read.  Summed as
-# the edges are read, so a refused file is built up to the limit, never past.
+# the edges are read, so a refused file is built up to the limit, never past;
+# but only where n^2 / 8 bytes, n masks of n bits, would pass the limit, which
+# takes more than 23,170 vertices.
 MAX_MASK_BYTES = 1 << 26
 
 
@@ -63,24 +65,35 @@ _CHUNK = 1 << 16
 _QUOTED = 60
 
 
-def _meaningful_lines(pieces: Iterable[str]) -> Iterator[list[str]]:
-    """The tokens of each line that has any besides a comment, one at a time,
-    in the text that pieces make up; past the fourth, the rest of the line
-    is one token, since no line of either dialect has more than four.  Each
+def _line_lists(pieces: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the text that pieces make up, one list per piece.  Each
     piece is cut after its last "\\n", which ends a line whatever follows
     it, and the rest is carried into the next piece; a last "\\n" ends the
     text.  So the lines are those str.splitlines gives for the whole text,
-    plus at most one empty line."""
+    plus at most one empty line.  The carried text is extended in place and
+    dropped before its lines are read, and each list is released before
+    the next is built, so a long line is held as few times as it can be."""
     rest = ""
     for piece in chain(pieces, ["\n"]):
         cut = piece.rfind("\n") + 1
         if not cut:
             rest += piece  # one line spans the whole piece
             continue
-        for line in (rest + piece[:cut]).splitlines():
-            if tokens := line.split("#", 1)[0].split(None, 4):
-                yield tokens
+        rest += piece[:cut]
+        lines = rest.splitlines()
         rest = piece[cut:]
+        yield lines
+        del lines  # else held while the next is built: K600 peaked 0.6 MiB higher
+
+
+def _next_tokens(lines: Iterator[str]) -> list[str] | None:
+    """The tokens of the next line that has any besides a comment, or None
+    past the last line; past the fourth, the rest of a line is one token,
+    since no line of either dialect has more than four."""
+    for line in lines:
+        if tokens := line.split("#", 1)[0].split(None, 4):
+            return tokens
+    return None
 
 
 def _quote(text: str) -> str:
@@ -98,13 +111,6 @@ def _int(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise FormatError(f"expected an integer {what}, got {_quote(token)}") from None
-
-
-def _endpoints(a: str, b: str) -> tuple[int, int]:
-    try:
-        return int(a), int(b)
-    except ValueError:
-        return _int(a, "endpoint"), _int(b, "endpoint")  # raises, naming the token
 
 
 def _vertex_count(token: str) -> int:
@@ -127,81 +133,62 @@ def _check_mask_bits(bits: int) -> None:
 def check_readable(g: Graph) -> None:
     """Raise FormatError unless parse_graph would accept g's canonical text:
     it refuses the same vertex count and the same mask size (g's masks are
-    as long as _bounded measures them).  The edge count and the edges of
+    as long as _read_edges measures them).  The edge count and the edges of
     format_graph's text are g's own, so nothing else can fail."""
     _check_vertex_count(g.n)
     _check_mask_bits(sum(a.bit_length() for a in g._adj))
 
 
-def _bounded(n: int, m: int, edges: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """The edges as read, refused as soon as those so far would need more
-    than MAX_MASK_BYTES of masks (a mask is as long as its vertex's highest
-    neighbor id, which only grows), and after the last one unless there
-    were m of them.  Graph checks every edge and names a bad one itself; an
-    edge out of range is passed on unmeasured."""
-    top = [-1] * n  # highest neighbor id of each vertex
-    bits = 0  # the length of all masks: the sum of top[v] + 1
+def _read_edges(lines: Iterator[str], n: int, m: int, dimacs: bool) -> Graph:
+    """The graph on n vertices whose m edges are the rest of lines, read in
+    one loop for both dialects.  Each line is refused where it is read: a
+    malformed line, then an edge out of range, then masks that would pass
+    MAX_MASK_BYTES, then a self-loop; the edge count after the last line.
+    n masks of at most n bits hold at most n * n // 8 bytes, so the masks
+    are summed only where that passes MAX_MASK_BYTES."""
+    adj = empty_masks(n)
+    width, base = (3, 1) if dimacs else (2, 0)
+    bits = 0 if n * n // 8 > MAX_MASK_BYTES else -1  # all masks' length
     read = 0
-    for read, (u, v) in enumerate(edges, 1):
-        if 0 <= u < n and 0 <= v < n:
-            if v > top[u]:
-                bits += v - top[u]
-                top[u] = v
-            if u > top[v]:
-                bits += u - top[v]
-                top[v] = u
+    for line in lines:
+        tokens = line.split("#", 1)[0].split(None, 4)  # as _next_tokens splits
+        if len(tokens) != width or dimacs and tokens[0].lower() != "e":
+            if not tokens:
+                continue
+            if dimacs:
+                tag = tokens[0].lower()
+                if tag == "c":
+                    continue
+                if tag == "p":
+                    raise FormatError("multiple 'p' header lines")
+                if tag != "e":
+                    raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
+            form = "e u v" if dimacs else "u v"
+            raise FormatError(f"edge line must be '{form}', got {_quote(' '.join(tokens))}")
+        try:
+            u = int(tokens[-2]) - base
+            v = int(tokens[-1]) - base
+        except ValueError:  # raises, naming the token
+            u, v = _int(tokens[-2], "endpoint"), _int(tokens[-1], "endpoint")
+        read += 1
+        if bits >= 0 and 0 <= u < n and 0 <= v < n:
+            # a mask is as long as its highest neighbor id, which only grows
+            bits += _grown(adj, u, v) + _grown(adj, v, u)
             _check_mask_bits(bits)
-        yield u, v
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise edge_fault(n, u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     if read != m:
         raise FormatError(f"header declares {m} edges but file has {read} edge lines")
+    return Graph._from_adj(n, adj)
 
 
-def _canonical_edges(lines: Iterator[list[str]]) -> Iterator[tuple[int, int]]:
-    for tokens in lines:
-        if len(tokens) != 2:
-            raise FormatError(f"edge line must be 'u v', got {_quote(' '.join(tokens))}")
-        yield _endpoints(tokens[0], tokens[1])
-
-
-def _parse_canonical(header: list[str], lines: Iterator[list[str]]) -> ParsedGraph:
-    if len(header) != 2:
-        raise FormatError(f"header must be 'n m', got {_quote(' '.join(header))}")
-    n = _vertex_count(header[0])
-    m = _int(header[1], "edge count")
-    return ParsedGraph(Graph(n, _bounded(n, m, _canonical_edges(lines))), range(n))
-
-
-def _dimacs_edges(lines: Iterator[list[str]]) -> Iterator[tuple[int, int]]:
-    for tokens in lines:
-        tag = tokens[0].lower()
-        if tag == "c":
-            continue
-        if tag == "p":
-            raise FormatError("multiple 'p' header lines")
-        if tag != "e":
-            raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
-        if len(tokens) != 3:
-            raise FormatError(f"edge line must be 'e u v', got {_quote(' '.join(tokens))}")
-        u, v = _endpoints(tokens[1], tokens[2])
-        yield u - 1, v - 1
-
-
-def _parse_dimacs(lines: Iterator[list[str]]) -> ParsedGraph:
-    for tokens in lines:  # only comments may come before the header
-        tag = tokens[0].lower()
-        if tag == "p":
-            break
-        if tag == "e":
-            raise FormatError("edge line before the 'p' header")
-        if tag != "c":
-            raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
-    else:
-        raise FormatError("missing 'p edge n m' header")
-    if len(tokens) != 4:
-        raise FormatError(f"header must be 'p edge n m', got {_quote(' '.join(tokens))}")
-    n = _vertex_count(tokens[2])
-    m = _int(tokens[3], "edge count")
-    return ParsedGraph(Graph(n, _bounded(n, m, _dimacs_edges(lines))), range(1, n + 1))
+def _grown(adj: list[int], u: int, v: int) -> int:
+    """Set bit v of adj[u], and return how many bits longer that made it."""
+    old = adj[u].bit_length()
+    adj[u] |= 1 << v
+    return adj[u].bit_length() - old
 
 
 def parse_graph(text: str) -> ParsedGraph:
@@ -210,13 +197,28 @@ def parse_graph(text: str) -> ParsedGraph:
 
 
 def _parse(pieces: Iterable[str]) -> ParsedGraph:
-    lines = _meaningful_lines(pieces)
-    first = next(lines, None)
-    if first is None:
+    lines = chain.from_iterable(_line_lists(pieces))
+    tokens = _next_tokens(lines)
+    if tokens is None:
         raise FormatError("empty graph text")
-    if first[0].lower() in ("c", "p", "e"):
-        return _parse_dimacs(chain([first], lines))
-    return _parse_canonical(first, lines)
+    dimacs = tokens[0].lower() in ("c", "p", "e")
+    if dimacs:
+        while (tag := tokens[0].lower()) != "p":  # only comments come first
+            if tag == "e":
+                raise FormatError("edge line before the 'p' header")
+            if tag != "c":
+                raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
+            if (tokens := _next_tokens(lines)) is None:
+                raise FormatError("missing 'p edge n m' header")
+        if len(tokens) != 4 or tokens[1].lower() != "edge":
+            raise FormatError(f"header must be 'p edge n m', got {_quote(' '.join(tokens))}")
+        tokens = tokens[2:]
+    elif len(tokens) != 2:
+        raise FormatError(f"header must be 'n m', got {_quote(' '.join(tokens))}")
+    n = _vertex_count(tokens[0])
+    m = _int(tokens[1], "edge count")
+    labels = range(1, n + 1) if dimacs else range(n)
+    return ParsedGraph(_read_edges(lines, n, m, dimacs), labels)
 
 
 def load_graph(path: str | Path) -> ParsedGraph:

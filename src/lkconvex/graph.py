@@ -42,6 +42,21 @@ class GraphError(ValueError):
     """Bad graph construction or an operation applied to invalid arguments."""
 
 
+def empty_masks(n: int) -> list[int]:
+    """The n empty neighborhood masks a graph on n vertices starts from."""
+    if n < 1:
+        raise GraphError(f"vertex count must be at least 1, got {n}")
+    return [0] * n
+
+
+def edge_fault(n: int, u: int, v: int) -> GraphError:
+    """The error naming (u, v), which is no edge of a graph on n vertices:
+    an end out of range, or else a self-loop."""
+    if 0 <= u < n and 0 <= v < n:
+        return GraphError(f"self-loop {(u, v)!r} is not allowed")
+    return GraphError(f"edge {(u, v)!r} out of range for n={n}")
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1 built from an edge list.
 
@@ -52,15 +67,10 @@ class Graph:
     __slots__ = ("n", "m", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 1:
-            raise GraphError(f"vertex count must be at least 1, got {n}")
-        adj = [0] * n
-        for pair in edges:
-            u, v = pair
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge {tuple(pair)!r} out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop {tuple(pair)!r} is not allowed")
+        adj = empty_masks(n)
+        for u, v in edges:
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise edge_fault(n, u, v)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._finish(n, adj)

@@ -5,7 +5,8 @@ directly, so none of the library's search machinery (DFS enumeration,
 LexBFS, incremental hull steps) is trusted by these reference answers.
 The one exception, reference_scan, takes its pair intervals from the
 caller, so that it can check the oracle's table scan on graphs too large
-for brute_interval.
+for brute_interval.  reference_read reads graph text whole, as a check
+on the reader that streams it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import combinations, permutations
 
-from lkconvex import Graph, MkmViolation
+from lkconvex import FormatError, Graph, GraphError, MkmViolation, formats
 from lkconvex.graph import set_of
 
 
@@ -369,3 +370,76 @@ def brute_adjacent_exactly_in_order(g: Graph, vs, cyclic: bool) -> bool:
         if g.has_edge(vs[i], vs[j]) != consecutive:
             return False
     return True
+
+
+def reference_read(text: str) -> tuple[Graph, range]:
+    """The graph and labels that formats.parse_graph reads from text, or its
+    error, found by splitting the whole text into lines at once and summing
+    the masks' size after every in-range edge.  Faults come in the reader's
+    order: on each line the dialect's tag and width, the endpoints, the
+    range, the mask size and then a self-loop; the edge count after the
+    last line.  The limits are read from formats when called."""
+    def integer(token: str, what: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise FormatError(f"expected an integer {what}, got {formats._quote(token)}") from None
+
+    def shown(row: list[str]) -> str:
+        return formats._quote(" ".join(row))
+
+    rows = [row for line in text.splitlines() if (row := line.split("#", 1)[0].split(None, 4))]
+    if not rows:
+        raise FormatError("empty graph text")
+    dimacs = rows[0][0].lower() in ("c", "p", "e")
+    if dimacs:
+        at = next((i for i, row in enumerate(rows) if row[0].lower() != "c"), len(rows))
+        if at == len(rows):
+            raise FormatError("missing 'p edge n m' header")
+        tag = rows[at][0].lower()
+        if tag == "e":
+            raise FormatError("edge line before the 'p' header")
+        if tag != "p":
+            raise FormatError(f"unrecognized line tag {formats._quote(rows[at][0])}")
+        header, body = rows[at], rows[at + 1:]
+        if len(header) != 4 or header[1].lower() != "edge":
+            raise FormatError(f"header must be 'p edge n m', got {shown(header)}")
+        header = header[2:]
+    else:
+        header, body = rows[0], rows[1:]
+        if len(header) != 2:
+            raise FormatError(f"header must be 'n m', got {shown(header)}")
+    n = integer(header[0], "vertex count")
+    if n > formats.MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit of {formats.MAX_VERTICES}")
+    m = integer(header[1], "edge count")
+    if n < 1:
+        raise GraphError(f"vertex count must be at least 1, got {n}")
+    base = 1 if dimacs else 0
+    top = [-1] * n  # highest neighbor id of each vertex
+    edges = []
+    for row in body:
+        if dimacs:
+            tag = row[0].lower()
+            if tag == "c":
+                continue
+            if tag == "p":
+                raise FormatError("multiple 'p' header lines")
+            if tag != "e":
+                raise FormatError(f"unrecognized line tag {formats._quote(row[0])}")
+            if len(row) != 3:
+                raise FormatError(f"edge line must be 'e u v', got {shown(row)}")
+        elif len(row) != 2:
+            raise FormatError(f"edge line must be 'u v', got {shown(row)}")
+        u, v = (integer(token, "endpoint") - base for token in row[-2:])
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge {(u, v)!r} out of range for n={n}")
+        top[u], top[v] = max(top[u], v), max(top[v], u)
+        if sum(t + 1 for t in top) // 8 > formats.MAX_MASK_BYTES:
+            raise FormatError(f"graph needs more than {formats.MAX_MASK_BYTES} bytes of adjacency masks")
+        if u == v:
+            raise GraphError(f"self-loop {(u, v)!r} is not allowed")
+        edges.append((u, v))
+    if len(edges) != m:
+        raise FormatError(f"header declares {m} edges but file has {len(edges)} edge lines")
+    return Graph(n, edges), range(base, n + base)

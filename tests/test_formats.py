@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bruteforce import reference_read
 from lkconvex import (
     FormatError,
     GraphError,
@@ -123,6 +128,9 @@ def test_malformed_dimacs():
         parse_graph("c a comment\nx 1 2\np edge 3 1\ne 1 2\n")  # before the header
     with pytest.raises(FormatError, match="exceeds the limit"):
         parse_graph("p edge 100000000000 0\n")  # refused before allocating
+    with pytest.raises(FormatError, match="^header must be 'p edge n m', got 'p foo 3 1'$"):
+        parse_graph("p foo 3 1\ne 1 2\n")  # the format word is read, in any case
+    assert parse_graph("P EDGE 3 1\ne 1 2\n").graph.edges() == [(0, 1)]
 
 
 def _twins(n: int, m: int, lines: list[str]) -> tuple[str, str]:
@@ -176,7 +184,8 @@ def test_parsing_many_vertices_holds_no_label_per_vertex():
 
 # One line of a million fields, as a canonical edge line, a canonical header
 # and a DIMACS edge line.  Splitting it whole peaked at 68.2 MiB, and the
-# refusal quoted all 3 MB of it.
+# refusal quoted all 3 MB of it; holding the carried text while its lines
+# were split, and the last piece's lines while the next were, at 12.8 MiB.
 LONG_LINES = {
     "edge": "3 2\n" + "12 " * 1_000_000,
     "header": "12 " * 1_000_000,
@@ -193,7 +202,7 @@ def test_a_long_line_costs_little_and_is_quoted_short(text):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    assert peak < 12 * 2**20, peak
     message = str(info.value)
     assert len(message) < 200 and message.endswith("...'"), message
 
@@ -235,6 +244,105 @@ def test_parsing_holds_no_buffer_per_edge(render):
     assert peak < 2**20, peak
 
 
+# Separators and line breaks the reader must treat as str.split and
+# str.splitlines do: "\x85" is both, and "\r\n" may be cut between pieces.
+SEPARATORS = ["  ", "\t", "\x0c", " \t ", "\x85"]
+BREAKS = ["\r\n", "\r", "\x85", "\n\n"]
+ODD_INTEGERS = ["+1", "01", "1_0", "-1", "x", "1.0", "10" * 30]
+LINE_KINDS = ["edge"] * 30 + ["blank", "comment", "tagged comment", "header", "alien tag",
+                              "one field", "extra field", "clique", "clique"]
+
+
+@st.composite
+def graph_texts(draw):
+    """Texts of either dialect, mostly well formed, that mix comments, blank
+    lines, odd separators and line breaks, odd integer tokens, repeated and
+    misplaced headers, duplicates, self-loops, ends out of range and wrong
+    edge counts, and cliques whose masks pass a small mask limit."""
+    dimacs = draw(st.booleans())
+    base = 1 if dimacs else 0
+    n = draw(st.sampled_from([*range(2, 9)] * 3 + [1, 0, -1]))
+
+    def pick(usual, odd, odds=10):
+        """usual, or one of odd once in odds draws."""
+        return draw(st.sampled_from(odd)) if draw(st.sampled_from(range(odds))) == odds - 1 else usual
+
+    def end():
+        usual = str(draw(st.integers(base, max(n, 1) - 1 + base)))
+        return pick(pick(usual, [str(draw(st.integers(-2, n + 2)))], 8), ODD_INTEGERS, 16)
+
+    def line(fields):
+        seps = [pick(" ", SEPARATORS, 5) for _ in fields]
+        text = "".join(sep + field for sep, field in zip(seps, fields))
+        text = text[len(seps[0]):] if draw(st.booleans()) else text
+        return text + pick("", [" ", "\t", " # note", "#", "# 1 2"], 3)
+
+    def edge(extra=()):
+        ends = draw(st.sampled_from(["distinct"] * 5 + ["loop", "any"]))
+        if ends == "distinct" and n > 1:
+            fields = [str(base + i) for i in draw(st.permutations(range(n)))[:2]]
+        elif ends == "loop":
+            fields = [end()] * 2
+        else:
+            fields = [end(), end()]
+        fields += extra
+        return line([pick("e", ["E"], 4), *fields] if dimacs else fields)
+
+    body, edges = [], 0
+    for kind in draw(st.lists(st.sampled_from(LINE_KINDS), max_size=12)):
+        if kind == "edge":
+            body.append(edge())
+            edges += 1
+        elif kind == "clique":  # long masks, to reach a small mask limit
+            size = n if draw(st.booleans()) else draw(st.integers(0, max(n, 0)))
+            for u, v in combinations(range(base, size + base), 2):
+                body.append(line([*["e"] * dimacs, str(u), str(v)]))
+                edges += 1
+        elif kind == "comment":
+            body.append(draw(st.sampled_from(["# c 1 2", "#", " # x"])))
+        elif kind == "tagged comment":
+            body.append(line([draw(st.sampled_from(["c", "C"])), "0", "1"]))
+        elif kind == "header":
+            body.append(line(["p", "edge", str(n), "1"]))
+        elif kind == "alien tag":
+            body.append(line([draw(st.sampled_from(["q", "x7", "ed"])), "1", "2"]))
+        elif kind == "one field":
+            body.append(line([end()]))
+        elif kind == "extra field":
+            body.append(edge(extra=[end() for _ in range(draw(st.integers(1, 5)))]))
+        else:
+            body.append("")
+    fields = [pick(str(n), ODD_INTEGERS), str(edges + pick(0, [1, -1], 4))]
+    if dimacs:
+        fields = ["p", pick("edge", ["EDGE", "Edge", "foo", "edges"], 6), *fields]
+    header = line(fields[:pick(len(fields), [len(fields) - 1])])
+    lead = draw(st.lists(st.sampled_from(["", "# lead", "c lead" if dimacs else " "]), max_size=2))
+    text = "".join(line + pick("\n", BREAKS, 4) for line in [*lead, header, *body])
+    return text if draw(st.booleans()) else text[:-1]
+
+
+def _outcome(read, text):
+    try:
+        graph, labels = read(text)
+    except (FormatError, GraphError) as exc:
+        return type(exc), str(exc)
+    return graph, labels
+
+
+@settings(max_examples=400, deadline=None)
+@example(text="8 1\n7 7\n", chunk=17, mask_bytes=0)  # the mask sum comes before the self-loop
+@example(text="5 3\n0 4\n1 4\n2 4\n", chunk=17, mask_bytes=1)  # 18 bits, and 25 // 16 == 1
+@given(text=graph_texts(), chunk=st.integers(1, 17), mask_bytes=st.sampled_from([None, *range(8)]))
+def test_reader_matches_the_whole_text_reference(text, chunk, mask_bytes):
+    # Pieces of 1-17 characters cut lines, "\r\n" pairs and tokens between
+    # pieces; every other test's text fits in one piece.  A small mask limit
+    # makes the reader sum masks, which it skips where n masks of n bits fit.
+    limit = formats.MAX_MASK_BYTES if mask_bytes is None else mask_bytes
+    with mock.patch.object(formats, "_CHUNK", chunk), \
+            mock.patch.object(formats, "MAX_MASK_BYTES", limit):
+        assert _outcome(parse_graph, text) == _outcome(reference_read, text), text
+
+
 def _refusal(check, *args):
     try:
         check(*args)
@@ -251,10 +359,12 @@ def test_check_readable_refuses_what_the_reader_refuses(monkeypatch):
     for g in graphs:
         text = format_graph(g)
         bytes_ = sum(a.bit_length() for a in g._adj) // 8
-        for limit in (0, bytes_ - 1, bytes_, full):
+        # from n * n // 8 bytes up, n masks of n bits fit and the reader stops summing
+        for limit in (0, bytes_ - 1, bytes_, g.n * g.n // 8, full):
             monkeypatch.setattr(formats, "MAX_MASK_BYTES", limit)
             want = _refusal(parse_graph, text)
             assert _refusal(check_readable, g) == want, (g, limit)
+            assert limit < g.n * g.n // 8 or want is None or want.startswith("vertex"), (g, limit)
             refused.add(want and want.split()[0])
     assert refused == {None, "vertex", "graph"}
 
