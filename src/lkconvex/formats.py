@@ -171,14 +171,16 @@ def _read_edges(lines: Iterator[str], n: int, m: int, dimacs: bool) -> Graph:
         except ValueError:  # raises, naming the token
             u, v = _int(tokens[-2], "endpoint"), _int(tokens[-1], "endpoint")
         read += 1
-        if bits >= 0 and 0 <= u < n and 0 <= v < n:
-            # a mask is as long as its highest neighbor id, which only grows
+        if not (0 <= u < n and 0 <= v < n):
+            raise edge_fault(n, u, v)
+        if bits < 0:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        else:  # a mask is as long as its highest neighbor id, which only grows
             bits += _grown(adj, u, v) + _grown(adj, v, u)
             _check_mask_bits(bits)
-        if u == v or not (0 <= u < n and 0 <= v < n):
+        if u == v:
             raise edge_fault(n, u, v)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     if read != m:
         raise FormatError(f"header declares {m} edges but file has {read} edge lines")
     return Graph._from_adj(n, adj)
