@@ -30,7 +30,6 @@ from .convexity import NotConvexError, effective_k, extreme_points, hull, interv
 from .formats import (
     FormatError,
     ParsedGraph,
-    check_readable,
     format_graph,
     format_vertex_set,
     graph_lines,
@@ -341,7 +340,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             built = "" if count == args.n else f" ({count} vertices)"
             raise FormatError(f"--n {args.n}{built} exceeds the vertex limit of {formats.MAX_VERTICES}")
     g = make(*(getattr(args, field) for field in needed))
-    check_readable(g)  # write nothing that the reading commands would refuse
     pieces = [f"family={args.family}"]
     for field in needed:
         pieces.append(f"{field}={getattr(args, field)}")

@@ -16,6 +16,11 @@ and its edge set straight into the adjacency masks, with no stage between
 the line and the masks and no copy of the edges.  So every fault is
 reported where it is read, and a wrong edge count after the last edge.
 Parsed labels are ranges.
+
+One limit bounds what a file may cost: its header may declare at most
+MAX_VERTICES vertices, and a larger count is refused before anything is
+allocated.  A vertex's mask is at most n bits long, so at that cap no
+file's masks can pass 64 MiB, whatever its edges or its labels.
 """
 
 from __future__ import annotations
@@ -27,18 +32,11 @@ from typing import NamedTuple
 
 from .graph import Graph, edge_fault, empty_masks, iter_bits
 
-# Largest vertex count a file may declare.  Graph allocates per vertex up
-# front, so an absurd header would otherwise exhaust memory before any check.
-MAX_VERTICES = 100_000
-
-# Largest size in bytes of a file's adjacency masks.  Each vertex's mask is as
-# long as its highest neighbor id, so a path on n vertices needs n^2/16 bytes:
-# 0.6 GB for a 1.2 MB file at MAX_VERTICES.  64 MiB admits a 32,000-vertex
-# path, 20 times the longest the tests, demos and benchmark read.  Summed as
-# the edges are read, so a refused file is built up to the limit, never past;
-# but only where n^2 / 8 bytes, n masks of n bits, would pass the limit, which
-# takes more than 23,170 vertices.
-MAX_MASK_BYTES = 1 << 26
+# Largest vertex count a file may declare, checked at the header before
+# anything is allocated: the largest n with n * n // 8 <= 64 MiB.  n masks of
+# at most n bits each then take at most 64 MiB, so no file can pass that,
+# whatever its edges; a path at the cap needs about half of it.
+MAX_VERTICES = 23_170
 
 
 class FormatError(ValueError):
@@ -96,10 +94,12 @@ def _next_tokens(lines: Iterator[str]) -> list[str] | None:
     return None
 
 
-def _quote(text: str) -> str:
-    """text as repr quotes it, each run of whitespace shown as one space,
-    cut after _QUOTED characters and marked "..." when longer.  Only the
-    first _CHUNK characters are split, so a long line costs no more."""
+def _quote(*tokens: str) -> str:
+    """The tokens joined by spaces, as repr quotes them, each run of
+    whitespace shown as one space, cut after _QUOTED characters and marked
+    "..." when longer.  Only the first _CHUNK characters are split, and each
+    token is cut to one more before the join, so a long line is not copied."""
+    text = " ".join(token[:_CHUNK + 1] for token in tokens)
     shown = " ".join(text[:_CHUNK].split())
     if len(shown) > _QUOTED or len(text) > _CHUNK:
         shown = shown[:_QUOTED] + "..."
@@ -113,42 +113,13 @@ def _int(token: str, what: str) -> int:
         raise FormatError(f"expected an integer {what}, got {_quote(token)}") from None
 
 
-def _vertex_count(token: str) -> int:
-    n = _int(token, "vertex count")
-    _check_vertex_count(n)
-    return n
-
-
-def _check_vertex_count(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-
-
-def _check_mask_bits(bits: int) -> None:
-    """Refuse masks that are bits long in all if they exceed MAX_MASK_BYTES."""
-    if bits // 8 > MAX_MASK_BYTES:
-        raise FormatError(f"graph needs more than {MAX_MASK_BYTES} bytes of adjacency masks")
-
-
-def check_readable(g: Graph) -> None:
-    """Raise FormatError unless parse_graph would accept g's canonical text:
-    it refuses the same vertex count and the same mask size (g's masks are
-    as long as _read_edges measures them).  The edge count and the edges of
-    format_graph's text are g's own, so nothing else can fail."""
-    _check_vertex_count(g.n)
-    _check_mask_bits(sum(a.bit_length() for a in g._adj))
-
-
 def _read_edges(lines: Iterator[str], n: int, m: int, dimacs: bool) -> Graph:
     """The graph on n vertices whose m edges are the rest of lines, read in
     one loop for both dialects.  Each line is refused where it is read: a
-    malformed line, then an edge out of range, then masks that would pass
-    MAX_MASK_BYTES, then a self-loop; the edge count after the last line.
-    n masks of at most n bits hold at most n * n // 8 bytes, so the masks
-    are summed only where that passes MAX_MASK_BYTES."""
+    malformed line, then an edge out of range, then a self-loop; the edge
+    count after the last line."""
     adj = empty_masks(n)
     width, base = (3, 1) if dimacs else (2, 0)
-    bits = 0 if n * n // 8 > MAX_MASK_BYTES else -1  # all masks' length
     read = 0
     for line in lines:
         tokens = line.split("#", 1)[0].split(None, 4)  # as _next_tokens splits
@@ -164,33 +135,20 @@ def _read_edges(lines: Iterator[str], n: int, m: int, dimacs: bool) -> Graph:
                 if tag != "e":
                     raise FormatError(f"unrecognized line tag {_quote(tokens[0])}")
             form = "e u v" if dimacs else "u v"
-            raise FormatError(f"edge line must be '{form}', got {_quote(' '.join(tokens))}")
+            raise FormatError(f"edge line must be '{form}', got {_quote(*tokens)}")
         try:
             u = int(tokens[-2]) - base
             v = int(tokens[-1]) - base
         except ValueError:  # raises, naming the token
             u, v = _int(tokens[-2], "endpoint"), _int(tokens[-1], "endpoint")
         read += 1
-        if not (0 <= u < n and 0 <= v < n):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             raise edge_fault(n, u, v)
-        if bits < 0:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        else:  # a mask is as long as its highest neighbor id, which only grows
-            bits += _grown(adj, u, v) + _grown(adj, v, u)
-            _check_mask_bits(bits)
-        if u == v:
-            raise edge_fault(n, u, v)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     if read != m:
         raise FormatError(f"header declares {m} edges but file has {read} edge lines")
     return Graph._from_adj(n, adj)
-
-
-def _grown(adj: list[int], u: int, v: int) -> int:
-    """Set bit v of adj[u], and return how many bits longer that made it."""
-    old = adj[u].bit_length()
-    adj[u] |= 1 << v
-    return adj[u].bit_length() - old
 
 
 def parse_graph(text: str) -> ParsedGraph:
@@ -213,11 +171,13 @@ def _parse(pieces: Iterable[str]) -> ParsedGraph:
             if (tokens := _next_tokens(lines)) is None:
                 raise FormatError("missing 'p edge n m' header")
         if len(tokens) != 4 or tokens[1].lower() != "edge":
-            raise FormatError(f"header must be 'p edge n m', got {_quote(' '.join(tokens))}")
+            raise FormatError(f"header must be 'p edge n m', got {_quote(*tokens)}")
         tokens = tokens[2:]
     elif len(tokens) != 2:
-        raise FormatError(f"header must be 'n m', got {_quote(' '.join(tokens))}")
-    n = _vertex_count(tokens[0])
+        raise FormatError(f"header must be 'n m', got {_quote(*tokens)}")
+    n = _int(tokens[0], "vertex count")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     m = _int(tokens[1], "edge count")
     labels = range(1, n + 1) if dimacs else range(n)
     return ParsedGraph(_read_edges(lines, n, m, dimacs), labels)

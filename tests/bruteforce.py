@@ -374,11 +374,11 @@ def brute_adjacent_exactly_in_order(g: Graph, vs, cyclic: bool) -> bool:
 
 def reference_read(text: str) -> tuple[Graph, range]:
     """The graph and labels that formats.parse_graph reads from text, or its
-    error, found by splitting the whole text into lines at once and summing
-    the masks' size after every in-range edge.  Faults come in the reader's
-    order: on each line the dialect's tag and width, the endpoints, the
-    range, the mask size and then a self-loop; the edge count after the
-    last line.  The limits are read from formats when called."""
+    error, found by splitting the whole text into lines at once and quoting
+    each refused line whole.  Faults come in the reader's order: on each
+    line the dialect's tag and width, the endpoints, the range and then a
+    self-loop; the edge count after the last line.  The vertex limit is
+    read from formats when called."""
     def integer(token: str, what: str) -> int:
         try:
             return int(token)
@@ -416,7 +416,6 @@ def reference_read(text: str) -> tuple[Graph, range]:
     if n < 1:
         raise GraphError(f"vertex count must be at least 1, got {n}")
     base = 1 if dimacs else 0
-    top = [-1] * n  # highest neighbor id of each vertex
     edges = []
     for row in body:
         if dimacs:
@@ -434,9 +433,6 @@ def reference_read(text: str) -> tuple[Graph, range]:
         u, v = (integer(token, "endpoint") - base for token in row[-2:])
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge {(u, v)!r} out of range for n={n}")
-        top[u], top[v] = max(top[u], v), max(top[v], u)
-        if sum(t + 1 for t in top) // 8 > formats.MAX_MASK_BYTES:
-            raise FormatError(f"graph needs more than {formats.MAX_MASK_BYTES} bytes of adjacency masks")
         if u == v:
             raise GraphError(f"self-loop {(u, v)!r} is not allowed")
         edges.append((u, v))

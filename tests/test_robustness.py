@@ -36,7 +36,7 @@ from lkconvex import (
     verify_geometry,
 )
 from lkconvex.cli import main
-from lkconvex.formats import MAX_MASK_BYTES, MAX_VERTICES, FormatError, parse_graph
+from lkconvex.formats import MAX_VERTICES, FormatError, parse_graph
 
 DEEP = sys.getrecursionlimit() + 100
 
@@ -203,8 +203,8 @@ def test_hole_at_the_end_of_a_long_path(capsys, tmp_path):
         assert elapsed < 1.0, elapsed
 
 
-LONG_PATH = f"{MAX_VERTICES} {MAX_VERTICES - 1}\n" + "".join(
-    f"{v} {v + 1}\n" for v in range(MAX_VERTICES - 1))
+LONG_PATH = f"{MAX_VERTICES + 1} {MAX_VERTICES}\n" + "".join(
+    f"{v} {v + 1}\n" for v in range(MAX_VERTICES))
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
@@ -212,7 +212,7 @@ LONG_PATH = f"{MAX_VERTICES} {MAX_VERTICES - 1}\n" + "".join(
     b"\xff\xfe\x00bad",
     f"{MAX_VERTICES + 1} 0\n".encode(),
     b"c too many vertices\np edge 100000000000 0\n",
-    LONG_PATH.encode(),  # its masks would take about 0.6 GB
+    LONG_PATH.encode(),  # one vertex past the cap, refused at its header
 ], ids=["undecodable", "canonical-oversize", "dimacs-oversize", "path-masks-oversize"])
 def test_unreadable_or_oversize_file_exits_2(capsys, tmp_path, content, flags):
     f = tmp_path / "g.txt"
@@ -222,17 +222,39 @@ def test_unreadable_or_oversize_file_exits_2(capsys, tmp_path, content, flags):
     assert err.startswith("error:")
 
 
-def test_oversize_masks_are_refused_at_the_limit():
-    # The masks are built as the edges are read, and refused once they would
-    # pass the limit: never the 0.6 GB the whole path would need.
+def test_the_vertex_cap_is_the_largest_within_the_mask_budget():
+    # The cap is the largest n whose n masks of n bits fit in 64 MiB.
+    assert MAX_VERTICES ** 2 // 8 <= 1 << 26 < (MAX_VERTICES + 1) ** 2 // 8
+
+
+def test_the_longest_masks_at_the_cap_stay_within_64_mib():
+    # Vertices 0 and n - 1 are joined to every other vertex, so every mask is
+    # about n bits long: the most any file at the cap can make its masks take.
+    n = MAX_VERTICES
+    edges = [(0, v) for v in range(1, n)] + [(v, n - 1) for v in range(1, n - 1)]
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=f"more than {MAX_MASK_BYTES} bytes"):
+        g = parse_graph(text).graph
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(edges)
+    assert sum(a.bit_length() for a in g._adj) // 8 <= 1 << 26
+    assert peak < 72 * 2**20, peak
+
+
+def test_oversize_masks_are_refused_at_the_limit():
+    # A path one vertex past the cap is refused at its header, before any
+    # mask is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"exceeds the limit of {MAX_VERTICES}$"):
             parse_graph(LONG_PATH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < MAX_MASK_BYTES + 16 * 2**20, peak
+    assert peak < 2**20, peak
 
 
 # --- the exit-code contract over generated and malformed inputs --------------
