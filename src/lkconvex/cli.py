@@ -8,7 +8,8 @@ result fields, and main renders them once: with --json, one JSON object
 with sorted keys on one line of stdout, which ``python3 -m json.tool``
 pretty-prints; otherwise text built from the same fields.  Certificates
 and solving paths are re-checked right before being printed; one that
-fails its check is an internal error, not a verdict.
+fails its check is an internal error, not a verdict, and so is an oracle
+whose one-point test and hull replay disagree.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from .formats import (
     graph_lines,
     load_graph,
 )
-from .geometry import MAX_SCAN_N, SizeCapError, mkm_check_set, verify_geometry
+from .geometry import (
+    MAX_SCAN_N,
+    OracleDisagreementError,
+    SizeCapError,
+    mkm_check_set,
+    verify_geometry,
+)
 from .graph import Graph, GraphError, induced_paths_between, induced_subgraph
 from .recognizers import (
     certificate_holds,
@@ -513,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, GraphError, SizeCapError, NotConvexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _InternalCheckError as exc:
+    except (_InternalCheckError, OracleDisagreementError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -1,12 +1,17 @@
 """Exhaustive convex-geometry oracle.
 
 A graph is a convex geometry for a given k when every convex set is the hull
-of its extreme points.  The oracle enumerates all subsets, keeps the convex
-ones, and replays that reconstruction; the first failure (subsets scanned in
-increasing size, lexicographic within a size) is returned as a certificate
-holding the convex set, its extreme points, and the hull those extremes
-actually generate.  Exponential by design: it is the ground truth the
-structural recognizers are validated against, so it stays brute force.
+of its extreme points.  For a closure system whose empty set is closed, as
+here, that holds exactly when every convex set C other than V has a vertex x
+outside it with C + x convex (Edelman & Jamison, "The theory of convex
+geometries", Geom. Dedicata 19, 1985).  The oracle decides the verdict by
+that second characterization, in one test over all subsets at once.  Only a
+rejection replays the hull of each convex set's extreme points, to name the
+first failure (subsets scanned in increasing size, lexicographic within a
+size) as a certificate holding the convex set, its extreme points, and the
+hull those extremes actually generate.  Exponential by design: it is the
+ground truth the structural recognizers are validated against, so it stays
+brute force.
 
 This module alone holds the subset scan: span_table builds its tables over
 every subset at once, one 32-bit lane per subset, scan_convex walks the
@@ -22,6 +27,7 @@ k = 2 and 3, a walk at k >= 4), and re-checks the oracle's certificates.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -40,6 +46,11 @@ MAX_SCAN_N = 22
 
 class SizeCapError(ValueError):
     """Exhaustive enumeration refused: the graph has more than MAX_SCAN_N vertices."""
+
+
+class OracleDisagreementError(RuntimeError):
+    """The one-point test rejected a graph whose every convex set the replay
+    rebuilt from its extreme points: the two characterizations disagree."""
 
 
 @dataclass(frozen=True)
@@ -174,8 +185,65 @@ def scan_convex(key: bytes) -> Iterator[int]:
             yield s
 
 
+# The digit of each key byte: "0" for a non-convex lane (0xFF), "1" otherwise.
+_CONVEX_DIGIT = bytes.maketrans(bytes(range(256)), b"1" * 255 + b"0")
+
+# Masks are kept for graphs up to this size (16 masks of 8 KiB at 16
+# vertices); above it they are rebuilt per call, one at a time.
+_KEPT_MASKS_N = 16
+
+
+def _lanes_holding(n: int) -> Iterator[tuple[int, int]]:
+    """(2^x, H_x) for x = n-1 down to 0, where H_x has bit T set, for each
+    T below 2^n, when x is in T: the upper half of every aligned block of
+    2^(x+1) bits.
+
+    Each H_x comes from the mask before it, all 2^n bits for x = n-1 and
+    H_(x+1) after that, XORed with itself shifted down by 2^x.  That mask
+    sets whole blocks of 2^(x+1) bits, every other one for H_(x+1); the XOR
+    clears the lower half of each set block and sets the upper half of the
+    clear block below it, which leaves the upper half of every block.
+    """
+    mask = (1 << (1 << n)) - 1
+    for x in reversed(range(n)):
+        mask ^= mask >> (1 << x)
+        yield 1 << x, mask
+
+
+_kept_masks = functools.cache(lambda n: tuple(_lanes_holding(n)))
+
+
+def _every_convex_set_extends(key: bytes) -> bool:
+    """Whether every convex set but V, of a span_table key, has a vertex
+    outside it whose addition leaves it convex.
+
+    Read as one base-2 numeral, the convex digits of the key put the flag of
+    lane S at bit 2^n - 1 - S, the lane of V - S: so C has bit T set when
+    the complement of T is convex.  For x in T, C shifted up by 2^x has at
+    bit T the flag of the complement of T - x, that is of (V - T) + x, and
+    H_x keeps those bits.  ORed over x, bit T of the result is set when
+    V - T has a one-point convex extension.  Every convex set but V has one
+    exactly when each set bit of C, but bit 0 (T empty, for V), is set there.
+    """
+    n = len(key).bit_length() - 1
+    c = int(key.translate(_CONVEX_DIGIT), 2)
+    extends = 0
+    for step, holding in _kept_masks(n) if n <= _KEPT_MASKS_N else _lanes_holding(n):
+        extends |= c << step & holding
+    return c & ~extends < 2
+
+
 def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
-    """Check every convex set against its extreme-point reconstruction.
+    """Whether every convex set is the hull of its extreme points; if not,
+    the first that is not, in size-then-lexicographic order, as the
+    verdict's MkmViolation.
+
+    The verdict comes from _every_convex_set_extends, which reads the one-
+    point characterization off the key alone (see the module docstring).
+    Only a rejection builds the extreme points of every convex set and
+    replays each one's hull from them, to find the certificate.  A replay
+    that finds no failure then means the two characterizations disagree:
+    OracleDisagreementError, never an acceptance.
 
     Refuses graphs above MAX_SCAN_N (22) vertices with SizeCapError, since
     the subset scan is 2^n, then disconnected graphs with GraphError,
@@ -185,6 +253,8 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     if n <= MAX_SCAN_N and not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
     table, convex, key = span_table(g, k)
+    if _every_convex_set_extends(key):
+        return GeometryVerdict(True, None)
     ext = 0  # the extreme points of each convex set (see span_table)
     for x in range(n):
         ext |= (convex << (32 << x) + x) & table
@@ -199,4 +269,7 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
         if hm != smask:
             cert = (set_of(reverse_bits(m, n)) for m in (smask, ext[smask], hm))
             return GeometryVerdict(False, MkmViolation(*cert))
-    return GeometryVerdict(True, None)
+    raise OracleDisagreementError(
+        f"the one-point test rejected a {n}-vertex graph at k={k} whose every "
+        "convex set is the hull of its extreme points"
+    )

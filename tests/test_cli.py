@@ -23,7 +23,7 @@ from lkconvex import (
     generators,
     load_graph,
 )
-from lkconvex import formats, recognizers
+from lkconvex import formats, geometry, recognizers
 from lkconvex.cli import main
 
 DIMACS_STRIP = """\
@@ -229,6 +229,39 @@ def test_crosscheck_dumps_each_mismatch(capsys, tmp_path, monkeypatch):
         assert formats.load_graph(name).graph == triangle
         first = Path(name).read_text().splitlines()[0]
         assert first == "# exhaustive n=3: recognizer=True oracle=False"
+
+
+def _reject_accepted(monkeypatch, graphs):
+    """Make the oracle's one-point test reject the given accepted graphs."""
+    real = geometry._every_convex_set_extends
+    keys = {geometry.span_table(g, 3)[2] for g in graphs}
+    monkeypatch.setattr(geometry, "_every_convex_set_extends", lambda key: key not in keys and real(key))
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("graph", [generators.triangle_strip7(), generators.complete(4)], ids=["strip", "K4"])
+def test_oracle_disagreement_is_an_internal_error(capsys, monkeypatch, tmp_path, graph, flags):
+    # every convex set of these graphs is the hull of its extreme points, so
+    # the replay behind a rejection finds no failure to name
+    _reject_accepted(monkeypatch, [graph])
+    f = tmp_path / "g.txt"
+    f.write_text(format_graph(graph))
+    assert main(["oracle", str(f), "--k", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the one-point test rejected")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_crosscheck_oracle_disagreement_is_an_internal_error(capsys, monkeypatch, tmp_path, flags):
+    # K4 is one of the 4-vertex graphs of the exhaustive sweep
+    _reject_accepted(monkeypatch, [generators.complete(4)])
+    argv = ["crosscheck", "--k", "3", "--exhaustive-n", "4", "--dump-dir", str(tmp_path), *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: the one-point test rejected a 4-vertex graph")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_crosscheck_rejects_exhaustive_n_out_of_range(capsys, tmp_path):

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import functools
 import random
 import tracemalloc
-from itertools import combinations
 
 import pytest
 
@@ -29,8 +29,8 @@ from lkconvex import (
     mkm_check_set,
     verify_geometry,
 )
-from lkconvex.convexity import _interval_mask, effective_k
-from lkconvex.geometry import reverse_bits, scan_convex, span_table
+from lkconvex import geometry
+from lkconvex.geometry import OracleDisagreementError, _lanes, reverse_bits, scan_convex, span_table
 
 
 def test_strip_is_geometry(strip7):
@@ -195,14 +195,21 @@ def test_cycle_certificates_match_reference_scan(n):
         assert (verdict.is_geometry, verdict.violation) == _reference_verdict(g, k)
 
 
+@functools.cache
+def _renamed(n):
+    """reverse_bits(m, n) at index m, for every n-bit mask m."""
+    return [reverse_bits(m, n) for m in range(1 << n)]
+
+
 def _assert_matches_reference_scan(g, k) -> bool:
-    kk = effective_k(g, k)
-    intervals = {(u, v): _interval_mask(g, kk, u, v) for u, v in combinations(range(g.n), 2)}
-    convex, violation = reference_scan(g.n, lambda u, v: intervals[u, v])
+    n, renamed = g.n, _renamed(g.n)
+    table, _, key = span_table(g, k)
+    span = _lanes(table, n)
+    # lane {u, v}, with ids renamed n-1-v as the lanes index them, holds I[u,v]
+    convex, violation = reference_scan(n, lambda u, v: renamed[span[1 << n - 1 - u | 1 << n - 1 - v]])
     verdict = verify_geometry(g, k)
     assert (verdict.is_geometry, verdict.violation) == (violation is None, violation), (g.edges(), k)
-    lanes = scan_convex(span_table(g, k)[2])
-    assert [reverse_bits(s, g.n) for s in lanes] == convex, (g.edges(), k)
+    assert [renamed[s] for s in scan_convex(key)] == convex, (g.edges(), k)
     return verdict.is_geometry
 
 
@@ -241,3 +248,28 @@ def test_one_point_extension_oracle_agrees(small_graph_pool):
                 assert got == brute_one_point_geometry(g, k), (g.edges(), k)
                 verdicts.add(got)
         assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_one_point_test_matches_the_replay_exhaustively(n, monkeypatch):
+    """verify_geometry replays hulls only when the one-point test rejects.
+    Forced to replay every connected labelled graph, the replay must find a
+    failure exactly where the test rejects, and none where it accepts."""
+    real = geometry._every_convex_set_extends
+    accepted = []
+
+    def replay_always(key):
+        accepted.append(real(key))
+        return False
+
+    monkeypatch.setattr(geometry, "_every_convex_set_extends", replay_always)
+    verdicts = set()
+    for g in generators.all_connected_graphs(n):
+        for k in (2, 3, 4):
+            try:
+                replay_accepts = verify_geometry(g, k).violation is None
+            except OracleDisagreementError:
+                replay_accepts = True
+            assert replay_accepts == accepted[-1], (g.edges(), k)
+            verdicts.add(replay_accepts)
+    assert verdicts == ({True} if n < 4 else {True, False})

@@ -136,12 +136,22 @@ def test_extremes_of_a_large_set():
 
 
 def test_oracle_at_twenty_vertices_with_every_subset_convex():
-    # 2^20 convex sets, each replayed from its extreme points
+    # 2^20 convex sets, each but V extended by any vertex: accepted by the
+    # one-point test, with no hull replayed
     t0 = time.perf_counter()
     verdict = verify_geometry(generators.complete(20), 3)
     elapsed = time.perf_counter() - t0
     assert verdict.is_geometry
-    assert elapsed < 2.0, elapsed
+    assert elapsed < 0.5, elapsed
+
+
+def test_oracle_accepts_k22_within_budget():
+    # the largest graph the scan takes, with all 2^22 subsets convex
+    t0 = time.perf_counter()
+    verdict = verify_geometry(generators.complete(22), 3)
+    elapsed = time.perf_counter() - t0
+    assert verdict.is_geometry
+    assert elapsed < 1.0, elapsed
 
 
 def test_oracle_memory_at_the_size_cap():
@@ -154,6 +164,16 @@ def test_oracle_memory_at_the_size_cap():
         tracemalloc.stop()
     assert not verdict.is_geometry
     assert peak < 112 * 2**20, peak
+
+
+def test_oracle_rejects_at_the_size_cap_within_budget():
+    # a rejection pays for the one-point test, the extreme points of every
+    # subset and the replay up to the first failure, {0, ..., 4}
+    t0 = time.perf_counter()
+    verdict = verify_geometry(generators.path(22), 3)
+    elapsed = time.perf_counter() - t0
+    assert verdict.violation.convex_set == frozenset(range(5))
+    assert elapsed < 1.5, elapsed
 
 
 @pytest.mark.parametrize("seed", [0, 1])
