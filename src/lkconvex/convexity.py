@@ -12,9 +12,14 @@ Every operator computes each pair interval it needs once.  A hull step
 is built from segments between vertices of the set: one induced-path walk
 from each vertex the previous step added, through vertices outside the
 set, to the rest of the set, and the iteration stops early at V, which is
-convex.  A pair interval at k = 2 or 3 has a closed form read off the
-neighbourhood masks of the pair and of N(u); at k >= 4 it is the one-pair
-case of the hull step.
+convex.  A walk grows only into vertices close enough to its targets
+through vertices outside the set.  The ball around a target set is the
+union of its members' balls, so the walks take the added vertices in
+descending order and share one ball set, grown once from the old members
+and widened by each added vertex's own balls after its walk.  A pair
+interval at k = 2 or 3 has a closed form read off the neighbourhood masks
+of the pair and of N(u); at k >= 4 it is the one-pair case of the hull
+step.
 
 The exhaustive scan over all 2^n subsets lives in geometry, which builds
 its tables from _interval_mask.
@@ -31,12 +36,10 @@ from dataclasses import dataclass
 from .graph import (
     Graph,
     GraphError,
-    _ball_prune,
-    _induced_walk,
+    _near,
     _three_edge_middles,
     iter_bits,
     labeller,
-    mask_of,
     set_of,
     simplicial_mask,
 )
@@ -77,23 +80,51 @@ def _step(g: Graph, k: int, cur: int, new: int) -> int:
     in cur.  So the step is cur plus the pieces with an end in new.
 
     A piece with both ends in new is found from its lower end.  So from
-    each u in new, in ascending order, one walk looks for the pieces that
-    end in T_u, cur - new plus the vertices of new above u.  It stops at
-    any vertex of cur, and a path on L vertices only grows into the
-    vertices within k - L steps of T_u through vertices outside cur, so
-    that it can still end in T_u in time.
+    each u in new one walk looks for the pieces that end in T_u, cur - new
+    plus the vertices of new above u.  It stops at any vertex of cur, and a
+    path on L vertices only grows into the vertices within k - L steps of
+    T_u through vertices outside cur, so that it can still end in T_u in
+    time.
+
+    Ball lemma.  The ball of radius r around a target set, through vertices
+    outside cur, is the union of the balls of radius r around its members:
+    cut a shortest path from the set at its last target.  So the walks take
+    new in descending order and share one list of balls, grown from cur -
+    new, into which each u's own balls are ORed after its walk; then every
+    walk prunes with the balls of exactly its T_u.  The lowest u's balls
+    are never read, so they are not grown.
+
+    A walk's frames carry the vertices left to try at one depth, what
+    their extensions avoid, the mask of the path before them and the
+    radius their extensions must lie within.  A tip outside cur closes
+    every piece it has with a target at once, and grows only into vertices
+    outside cur.  The stack is explicit: no recursion limit applies.
     """
+    adj = g._adj
     out = cur
-    old = cur & ~new
     outside = ~cur
-    for u in iter_bits(new):
-        targets = old | new >> u + 1 << u + 1
-        if not targets:
-            continue
-        stop = cur ^ 1 << u
-        for path in _induced_walk(g, u, _ball_prune(g, targets, outside, k, stop)):
-            if len(path) > 2 and stop >> path[-1] & 1:
-                out |= mask_of(path)
+    near = _near(g, cur & ~new, outside, k)
+    left = new
+    while left:
+        u = left.bit_length() - 1
+        left ^= 1 << u
+        if rest := adj[u] & outside & near[k - 1]:
+            stack = [(rest, adj[u] | 1 << u, 1 << u, k - 2)]
+            while stack:
+                rest, closed, on, r = stack.pop()
+                low = rest & -rest
+                if rest != low:
+                    stack.append((rest ^ low, closed, on, r))
+                ax = adj[low.bit_length() - 1]
+                cand = ax & ~closed & near[r]
+                if cand & cur:
+                    out |= on | low
+                if cand := cand & outside:
+                    stack.append((cand, closed | ax, on | low, r - 1))
+        if left:
+            balls = _near(g, 1 << u, outside, k)
+            # near[0] is the target set; while it is empty, so is every ball
+            near = list(map(int.__or__, near, balls)) if near[0] else balls
     return out
 
 

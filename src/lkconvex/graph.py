@@ -78,7 +78,7 @@ class Graph:
     def _finish(self, n: int, adj: list[int]) -> None:
         self.n = n
         self._adj = tuple(adj)
-        self.m = sum(a.bit_count() for a in adj) // 2
+        self.m = sum(map(int.bit_count, adj)) // 2
 
     @classmethod
     def _from_adj(cls, n: int, adj: list[int]) -> Graph:
@@ -258,14 +258,12 @@ def _induced_walk(g: Graph, start: int, prune: Callable[[list[int], int], int]) 
             stack.append((more, closed | adj[x], d + 1))
 
 
-def _ball_prune(g: Graph, targets: int, within: int, k: int, stop: int) -> Callable[[list[int], int], int]:
-    """The prune of an _induced_walk for paths with at most k edges that
-    end in targets: a path on L vertices grows only into the vertices
-    within k - L steps of targets through within, so that it can still end
-    there in time, and a path whose tip is in stop does not grow."""
-    near = list(islice(_balls(g, targets, within), k))
-    near += [near[-1]] * (k - len(near))
-    return lambda path, cand: 0 if stop >> path[-1] & 1 else cand & near[k - len(path)]
+def _near(g: Graph, start: int, within: int, k: int) -> list[int]:
+    """The k balls of radius 0..k-1 around the mask start through within,
+    as _balls grows them, padded with the last one (all 0 when start is
+    empty)."""
+    near = list(islice(_balls(g, start, within), k)) or [0]
+    return near + [near[-1]] * (k - len(near))
 
 
 def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[InducedPath]:
@@ -282,7 +280,15 @@ def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[In
         raise GraphError("endpoints of a path must differ")
     if max_len < 1:
         raise GraphError(f"max_len must be at least 1, got {max_len}")
-    for path in _induced_walk(g, u, _ball_prune(g, 1 << v, -1, min(max_len, g.n - 1), 1 << v)):
+    k = min(max_len, g.n - 1)
+    near = _near(g, 1 << v, -1, k)
+
+    def prune(path: list[int], cand: int) -> int:
+        # a path on L vertices grows only into the vertices within k - L
+        # steps of v, so that it can still end there in time; it stops at v
+        return 0 if path[-1] == v else cand & near[k - len(path)]
+
+    for path in _induced_walk(g, u, prune):
         if path[-1] == v:
             yield InducedPath(tuple(path))
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -11,6 +13,7 @@ from bruteforce import (
     brute_is_convex,
     brute_monophonic_convex,
     brute_simplicial,
+    induced_path_sets,
     is_clique,
     subsets,
 )
@@ -29,7 +32,7 @@ from lkconvex import (
     is_convex,
 )
 from lkconvex.convexity import _interval_mask, _step, effective_k
-from lkconvex.graph import iter_bits, set_of
+from lkconvex.graph import iter_bits, mask_of, set_of
 
 # the nine convex sets of the strip that are neither cliques nor trivial
 STRIP_LADDERS = [
@@ -235,6 +238,41 @@ def test_hull_steps_match_pairwise_reference_on_mid_size_graphs():
                 assert nxt == step != cur, (g, k, seed, sorted(cur))
         deep += len(its) >= 4 and max(len(b - a) for a, b in zip(its, its[1:])) >= 10
     assert deep >= 8  # hulls of 3+ steps that add 10+ vertices in one step
+
+
+def test_step_matches_pieces_and_pair_intervals_exhaustively(connected_upto6):
+    # new a proper part of cur as well as all of it, so that a walk's
+    # targets, the old vertices and the new ones above its start, leave out
+    # vertices of cur.  The step is cur plus its pieces, the induced paths
+    # with at most k edges between vertices of cur, an end in new and no
+    # inner vertex in cur.  Where cur holds the intervals of its pairs
+    # outside new, as in a hull, that is cur plus the intervals of the
+    # pairs that meet new.
+    steps = settled = 0
+    for g in connected_upto6:
+        if g.n > 5:
+            continue
+        for k in sorted({effective_k(g, k) for k in range(2, 6)}):
+            paths = {1 << u | 1 << v: [mask_of(vs) for vs in induced_path_sets(g, u, v, k)]
+                     for u, v in combinations(range(g.n), 2)}
+            spans = {pair: reduce(or_, ms, pair) for pair, ms in paths.items()}
+            for cur in range(1, 1 << g.n):
+                inside = [pair for pair in paths if pair & cur == pair]
+                for new in {cur, cur & cur - 1, *(1 << v for v in iter_bits(cur))} - {0}:
+                    pieces = wide = cur
+                    held = True
+                    for pair in inside:
+                        if pair & new:
+                            wide |= spans[pair]
+                            pieces |= reduce(or_, (m for m in paths[pair] if m & cur == pair), 0)
+                        else:
+                            held = held and spans[pair] & ~cur == 0
+                    got = _step(g, k, cur, new)
+                    assert got == pieces, (g.edges(), k, cur, new)
+                    assert got == wide or not held, (g.edges(), k, cur, new)
+                    steps += 1
+                    settled += held
+    assert (steps, settled) == (270_170, 230_678)
 
 
 def test_is_convex_strip(strip7):
