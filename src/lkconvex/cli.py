@@ -47,7 +47,7 @@ from .graph import Graph, GraphError, induced_paths_between, induced_subgraph
 from .recognizers import (
     certificate_holds,
     certificate_json,
-    gem_json,
+    gem_rows,
     recognize_l2,
     recognize_l3,
     solved_gems,
@@ -243,8 +243,7 @@ def text_extremes(f: dict) -> list[str]:
 def cmd_gems(args: argparse.Namespace, parsed: ParsedGraph) -> tuple[int, dict]:
     pairs = list(solved_gems(parsed.graph, args.min_n))
     _check_solving_paths(parsed.graph, pairs)
-    rows = [{**gem_json(w, p, parsed.labels), "n": w.n, "solved": p is not None}
-            for w, p in pairs]
+    rows = gem_rows(pairs, parsed.labels, status=True)
     solved = sum(row["solved"] for row in rows)
     counts = {"total": len(rows), "solved": solved, "unsolved": len(rows) - solved}
     return 0, {"min_n": args.min_n, "gems": rows, "counts": counts}

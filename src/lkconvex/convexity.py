@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import (
     Graph,
     GraphError,
-    _near,
+    _balls,
     _three_edge_middles,
     iter_bits,
     labeller,
@@ -92,7 +93,9 @@ def _step(g: Graph, k: int, cur: int, new: int) -> int:
     new in descending order and share one list of balls, grown from cur -
     new, into which each u's own balls are ORed after its walk; then every
     walk prunes with the balls of exactly its T_u.  The lowest u's balls
-    are never read, so they are not grown.
+    are never read, so they are not grown.  A ball list ends where its
+    balls stop growing, so two lists are merged only that far, and a walk
+    pads the list to k balls once.
 
     A walk's frames carry the vertices left to try at one depth, what
     their extensions avoid, the mask of the path before them and the
@@ -103,12 +106,13 @@ def _step(g: Graph, k: int, cur: int, new: int) -> int:
     adj = g._adj
     out = cur
     outside = ~cur
-    near = _near(g, cur & ~new, outside, k)
+    near = list(islice(_balls(g, cur & ~new, outside), k)) or [0]
     left = new
     while left:
         u = left.bit_length() - 1
         left ^= 1 << u
-        if rest := adj[u] & outside & near[k - 1]:
+        if rest := adj[u] & outside & near[-1]:
+            radii = near + [near[-1]] * (k - len(near))
             stack = [(rest, adj[u] | 1 << u, 1 << u, k - 2)]
             while stack:
                 rest, closed, on, r = stack.pop()
@@ -116,16 +120,25 @@ def _step(g: Graph, k: int, cur: int, new: int) -> int:
                 if rest != low:
                     stack.append((rest ^ low, closed, on, r))
                 ax = adj[low.bit_length() - 1]
-                cand = ax & ~closed & near[r]
+                cand = ax & ~closed & radii[r]
                 if cand & cur:
                     out |= on | low
                 if cand := cand & outside:
                     stack.append((cand, closed | ax, on | low, r - 1))
         if left:
-            balls = _near(g, 1 << u, outside, k)
-            # near[0] is the target set; while it is empty, so is every ball
-            near = list(map(int.__or__, near, balls)) if near[0] else balls
+            near = _merged(near, list(islice(_balls(g, 1 << u, outside), k)))
     return out
+
+
+def _merged(a: list[int], b: list[int]) -> list[int]:
+    """The balls of the union of two target sets, from the balls of each as
+    _balls grows them up to one radius ([0] for the empty set).  A list
+    that stops short has stopped growing, so its last ball stands for
+    every larger radius."""
+    if len(a) < len(b):
+        a, b = b, a
+    last = b[-1]
+    return [x | y for x, y in zip(a, b)] + [x | last for x in a[len(b):]]
 
 
 def _first_violation(g: Graph, k: int, smask: int) -> tuple[tuple[int, int], int] | None:

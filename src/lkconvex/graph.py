@@ -232,47 +232,17 @@ def _three_edge_middles(adj: Sequence[int], u: int, v: int) -> Iterator[tuple[in
             yield b, cs
 
 
-def _induced_walk(g: Graph, start: int, prune: Callable[[list[int], int], int]) -> Iterator[list[int]]:
-    """Walk the induced paths that begin at start, depth first.
-
-    Yields the live path (a list the walk keeps mutating) once per path, in
-    lexicographic order.  After each yield it passes prune(path, cand) the
-    tip's induced extensions, the neighbors of the tip not on or next to
-    the rest of the path, if there are any, and descends into the subset
-    prune returns.  The stack is explicit: no recursion limit applies.
-    """
-    adj = g._adj
-    path: list[int] = []
-    # frames: (vertices left to try at depth d, what their extensions avoid, d)
-    stack = [(1 << start, 1 << start, 0)]
-    while stack:
-        rest, closed, d = stack.pop()
-        low = rest & -rest
-        if rest != low:
-            stack.append((rest ^ low, closed, d))
-        x = low.bit_length() - 1
-        path[d:] = [x]
-        yield path
-        cand = adj[x] & ~closed
-        if cand and (more := prune(path, cand)):
-            stack.append((more, closed | adj[x], d + 1))
-
-
-def _near(g: Graph, start: int, within: int, k: int) -> list[int]:
-    """The k balls of radius 0..k-1 around the mask start through within,
-    as _balls grows them, padded with the last one (all 0 when start is
-    empty)."""
-    near = list(islice(_balls(g, start, within), k)) or [0]
-    return near + [near[-1]] * (k - len(near))
-
-
 def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[InducedPath]:
     """Stream the induced u-v paths with at most max_len edges.
 
     Requires u != v and max_len >= 1; the stream is empty when u and v are
     disconnected or further apart than max_len.  Paths come out in
-    lexicographic order of their vertex sequences.  A path only grows
-    toward v while it can still reach v in time, and stops there.
+    lexicographic order of their vertex sequences.  They are walked depth
+    first from u in one explicit-stack loop, so no recursion limit applies.
+    A frame holds the vertices left to try at depth d and the closed
+    neighbourhood of path[:d], which their extensions avoid.  A path stops
+    at v, and a path on L vertices only grows into the vertices within
+    k - L steps of v, so that it can still end there in time.
     """
     g.check_vertex(u)
     g.check_vertex(v)
@@ -280,17 +250,23 @@ def induced_paths_between(g: Graph, u: int, v: int, max_len: int) -> Iterator[In
         raise GraphError("endpoints of a path must differ")
     if max_len < 1:
         raise GraphError(f"max_len must be at least 1, got {max_len}")
+    adj = g._adj
     k = min(max_len, g.n - 1)
-    near = _near(g, 1 << v, -1, k)
-
-    def prune(path: list[int], cand: int) -> int:
-        # a path on L vertices grows only into the vertices within k - L
-        # steps of v, so that it can still end there in time; it stops at v
-        return 0 if path[-1] == v else cand & near[k - len(path)]
-
-    for path in _induced_walk(g, u, prune):
-        if path[-1] == v:
+    near = list(islice(_balls(g, 1 << v), k))  # near[r]: within r steps of v
+    near += [near[-1]] * (k - len(near))
+    path: list[int] = []
+    stack = [(1 << u, 1 << u, 0)]
+    while stack:
+        rest, closed, d = stack.pop()
+        low = rest & -rest
+        if rest != low:
+            stack.append((rest ^ low, closed, d))
+        x = low.bit_length() - 1
+        path[d:] = [x]
+        if x == v:
             yield InducedPath(tuple(path))
+        elif cand := adj[x] & ~closed & near[k - d - 1]:
+            stack.append((cand, closed | adj[x], d + 1))
 
 
 class InducedSubgraph(NamedTuple):

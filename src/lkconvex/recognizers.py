@@ -10,9 +10,12 @@ x_n that avoids the apex.  Rejections carry a machine-checkable
 certificate: a hole, a four-vertex induced path, a vertex pair beyond the
 distance bound, or an unsolved gem.  The k=3 recognizer enumerates every
 induced gem, and a graph can hold exponentially many of them (gem(1200)
-has about 717k), so its worst case is exponential.  Whether a gem is solved
-depends only on the ends of its base, so the gem stream solves each end
-pair once and hands the path to every gem that shares it.
+has about 717k), so its worst case is exponential.  The bases are walked
+in one explicit-stack loop that carries the common neighbours of the path,
+and a tip with no common neighbour left is dropped.  Whether a gem is
+solved depends only on the ends of its base, so the gem stream solves each
+end pair once and hands the path to every gem that shares it.  The JSON
+rows likewise label each base and each solving path once.
 
 The general necessary-conditions filter (chordal plus diameter <= k) is also
 exposed; it is sound for rejection at every k but only decides membership
@@ -31,7 +34,6 @@ from .graph import (
     HoleWitness,
     InducedPath,
     _balls,
-    _induced_walk,
     _three_edge_middles,
     distance,
     is_connected,
@@ -97,14 +99,41 @@ def certificate_json(cert: Certificate, labels: Sequence[int] | None = None) -> 
     raise TypeError(f"not a recognition certificate: {cert!r}")
 
 
-def gem_json(w: GemWitness, path: InducedPath | None, labels: Sequence[int] | None = None) -> dict:
-    """A gem and the path solving it (None when unsolved), labelled as above."""
+def gem_rows(
+    pairs: Sequence[tuple[GemWitness, InducedPath | None]],
+    labels: Sequence[int] | None = None,
+    status: bool = False,
+) -> list[dict]:
+    """Each gem and the path solving it (None when unsolved) as a row with
+    its base, apex and solving_path, labelled as above; with status, also
+    its base length n and whether it is solved.
+
+    enumerate_gems shares one base object among the apexes of a base, and
+    solved_gems one path object among the gems of an end pair, so each
+    object is labelled once and each row gets its own copy of the list.
+    Paths are told apart by id, which no other object takes while pairs
+    holds them all.
+    """
     name = labeller(labels)
-    return {
-        "base": [name(x) for x in w.base.vertices],
-        "apex": name(w.apex),
-        "solving_path": None if path is None else [name(x) for x in path.vertices],
-    }
+    rows = []
+    base = None
+    paths: dict[int, list[int]] = {}
+    for w, p in pairs:
+        if w.base is not base:
+            base = w.base
+            base_names = list(map(name, base.vertices))
+            n = len(base_names) - 1
+        path_names = None
+        if p is not None:
+            if (path_names := paths.get(id(p))) is None:
+                path_names = paths[id(p)] = list(map(name, p.vertices))
+            path_names = path_names.copy()
+        row = {"base": base_names.copy(), "apex": name(w.apex), "solving_path": path_names}
+        if status:
+            row["n"] = n
+            row["solved"] = p is not None
+        rows.append(row)
+    return rows
 
 
 def certificate_holds(g: Graph, k: int, cert: Certificate | MkmViolation) -> bool:
@@ -153,45 +182,49 @@ class RecognitionVerdict:
         cert = None if self.certificate is None else certificate_json(self.certificate, labels)
         out: dict = {"accepted": self.accepted, "certificate": cert}
         if self.solved_gems:
-            out["solved_gems"] = [gem_json(w, p, labels) for w, p in self.solved_gems]
+            out["solved_gems"] = gem_rows(self.solved_gems, labels)
         return out
 
 
 def enumerate_gems(g: Graph, min_n: int = 3) -> Iterator[GemWitness]:
     """Stream every induced n-gem with n >= min_n.
 
-    Bases are walked depth-first in lexicographic order while carrying the
-    intersection of the path vertices' neighborhoods, the apex candidates.
-    The walk only steps to vertices adjacent to one of them, since any other
-    step leaves no apex.  Each gem appears once: bases are reported in the
-    orientation with the smaller first endpoint, apexes in ascending order.
-    A graph whose edges all have nested closed neighbourhoods has no
-    induced P4, so no gem, and streams nothing without a walk.
+    Bases are walked depth-first in lexicographic order, from each start
+    vertex in ascending order, in one explicit-stack loop.  A frame holds
+    the vertices left to try at depth d, the closed neighbourhood of
+    path[:d], which their extensions avoid, the apex candidates (the
+    vertices adjacent to all of path[:d]) and d.  A tip that leaves no
+    apex candidate is dropped when it is popped, with everything past it.
+    Each gem appears once: bases are reported in the orientation with the
+    smaller first endpoint, one InducedPath shared by all the apexes of a
+    base, apexes in ascending order.  A graph whose edges all have nested
+    closed neighbourhoods has no induced P4, so no gem, and streams
+    nothing without a walk.
     """
     if min_n < 3:
         raise GraphError(f"gems need a base of at least 3 edges, got min_n={min_n}")
     if _unnested_path(g) is None:  # no induced P4, so no base
         return
     adj = g._adj
-    common = [-1] * (g.n + 1)  # common[i]: the vertices adjacent to all of path[:i]
-
-    def prune(path: list[int], cand: int) -> int:
-        d = len(path)
-        c = common[d] = common[d - 1] & adj[path[-1]]
-        keep = cand
-        while cand:
-            low = cand & -cand
-            if not c & adj[low.bit_length() - 1]:
-                keep ^= low
-            cand ^= low
-        return keep
-
     for s in range(g.n):
-        for path in _induced_walk(g, s, prune):
-            if len(path) > min_n and s < path[-1]:
+        path: list[int] = []
+        stack = [(1 << s, 1 << s, -1, 0)]
+        while stack:
+            rest, closed, common, d = stack.pop()
+            low = rest & -rest
+            if rest != low:
+                stack.append((rest ^ low, closed, common, d))
+            x = low.bit_length() - 1
+            ax = adj[x]
+            if not (apexes := common & ax):
+                continue
+            path[d:] = [x]
+            if d >= min_n and s < x:
                 base = InducedPath(tuple(path))
-                for apex in iter_bits(common[len(path) - 1] & adj[path[-1]]):
+                for apex in iter_bits(apexes):
                     yield GemWitness(base, apex)
+            if cand := ax & ~closed:
+                stack.append((cand, closed | ax, apexes, d + 1))
 
 
 def _solving_path(adj: list[int], x0: int, xn: int) -> InducedPath | None:

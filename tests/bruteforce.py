@@ -298,10 +298,11 @@ def brute_unnested_path(g: Graph) -> tuple[int, ...] | None:
     return None
 
 
-def brute_gem_count(g: Graph, min_n: int) -> int:
-    """Count (base set, apex) pairs where the base induces a path of at
-    least min_n edges and the apex sees all of it."""
-    count = 0
+def brute_gems(g: Graph, min_n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every (base, apex) pair where the base induces a path of at least
+    min_n edges and the apex sees all of it, each base read from its lower
+    end, sorted by base and then by apex."""
+    out = []
     for apex in range(g.n):
         nb = [y for y in range(g.n) if y != apex and g.has_edge(apex, y)]
         for base in subsets(nb, min_size=min_n + 1):
@@ -311,8 +312,11 @@ def brute_gem_count(g: Graph, min_n: int) -> int:
                 if sum(1 for y in base if y != x and g.has_edge(x, y)) == 1
             ]
             if len(ends) == 2 and induces_path_between(g, base, *ends):
-                count += 1
-    return count
+                seq = [min(ends)]
+                while len(seq) < len(base):
+                    seq += [y for y in base if y not in seq and g.has_edge(seq[-1], y)]
+                out.append((tuple(seq), apex))
+    return sorted(out)
 
 
 def brute_gem_solved(g: Graph, base, apex: int) -> tuple[int, ...] | None:

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from bruteforce import brute_distances, brute_gem_count, brute_gem_solved, brute_unnested_path
+from bruteforce import brute_distances, brute_gem_solved, brute_gems, brute_unnested_path
 from lkconvex import (
     FarPair,
     GemWitness,
@@ -73,14 +73,13 @@ def test_gem_witnesses_are_valid_and_canonical(small_graph_pool):
             assert w.n == w.base.length >= 3
 
 
-def test_gem_counts_match_subset_oracle(small_graph_pool):
+def test_gems_match_subset_oracle_in_order(small_graph_pool):
     for g in small_graph_pool:
         if g.n > 8:
             continue
         for min_n in (3, 4):
-            got = list(enumerate_gems(g, min_n))
-            assert len(got) == len(set(got))
-            assert len(got) == brute_gem_count(g, min_n)
+            got = [(w.base.vertices, w.apex) for w in enumerate_gems(g, min_n)]
+            assert got == brute_gems(g, min_n)
 
 
 def test_gem_min_n_validation(strip7):
@@ -362,6 +361,22 @@ def test_verdict_json_labels():
          for key, val in row.items()}
         for row in plain["solved_gems"]
     ]
+
+
+def test_verdict_json_rows_share_no_list():
+    # 4 gems on 2 bases, all solved by one path: the labelled lists are
+    # built once per base and path, and each row must get its own copies.
+    rows = recognize_l3(generators.random_connected_chordal(10, 0.8, 0)).to_json_dict()["solved_gems"]
+    assert len(rows) == 4
+    assert len({tuple(row["base"]) for row in rows}) == 2
+    assert len({tuple(row["solving_path"]) for row in rows}) == 1
+    before = [{key: list(val) for key, val in row.items() if key != "apex"} for row in rows]
+    for i, row in enumerate(rows):
+        row["base"].append(-i)
+        row["solving_path"].append(-i)
+    for i, row in enumerate(rows):
+        assert row["base"] == before[i]["base"] + [-i]
+        assert row["solving_path"] == before[i]["solving_path"] + [-i]
 
 
 def test_certificates_hold_and_corruptions_fail(small_graph_pool, strip7):

@@ -32,6 +32,7 @@ from lkconvex import (
     hull,
     induced_paths_between,
     interval,
+    interval_of_set,
     recognize_l2,
     verify_geometry,
 )
@@ -111,6 +112,18 @@ def test_sparse_cli_hull(capsys, tmp_path):
     assert code == 0
     assert len(json.loads(out)["hull"]) == 192
     assert elapsed < 0.25, elapsed
+
+
+def test_interval_of_a_spread_set_on_a_long_path():
+    # Every other vertex of a 5000-vertex path at k = n: each added
+    # vertex's balls stop growing after one step, so merging them into the
+    # shared ball list must cost that one step, not k padded balls.
+    g = generators.path(5000)
+    t0 = time.perf_counter()
+    got = interval_of_set(g, 5000, range(0, 5000, 2))
+    elapsed = time.perf_counter() - t0
+    assert got == frozenset(range(4999))
+    assert elapsed < 1.0, elapsed
 
 
 def test_label_lookup_on_a_large_set(capsys, tmp_path):
