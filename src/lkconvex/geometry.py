@@ -9,14 +9,18 @@ that second characterization, in one test over all subsets at once.  Only a
 rejection replays the hull of each convex set's extreme points, to name the
 first failure (subsets scanned in increasing size, lexicographic within a
 size) as a certificate holding the convex set, its extreme points, and the
-hull those extremes actually generate.  Exponential by design: it is the
+hull those extremes actually generate; a set whose every point is extreme
+is its own hull, and the replay skips it on small graphs (see
+verify_geometry).  Exponential by design: it is the
 ground truth the structural recognizers are validated against, so it stays
 brute force.
 
 This module alone holds the subset scan: span_table builds its tables over
-every subset at once, one 32-bit lane per subset, scan_convex walks the
-convex sets off them, and verify_geometry is their one reader.  The tables
-have 2^n lanes, so graphs above MAX_SCAN_N (22) vertices are refused.
+every subset at once, one lane per subset, scan_convex walks the convex
+sets off them, and verify_geometry is their one reader.  A lane is as wide
+as the graph needs, _width(n): 8 bits up to 7 vertices, 16 up to 15 and 32
+above.  The tables have 2^n lanes, so graphs above MAX_SCAN_N (22)
+vertices are refused.
 
 mkm_check_set checks one set with the public operators instead, taking
 extreme_points for its extremes and the hull they generate, and returns
@@ -37,10 +41,10 @@ from . import convexity
 from .convexity import effective_k, extreme_points, hull
 from .graph import Graph, GraphError, is_connected, labeller, set_of
 
-# The one size bound of the subset scan, whose tables hold one 32-bit lane
-# per subset, 2^n in all.  At 22 vertices each table is 16 MiB, and any
-# 22-vertex graph peaks at about 100 MiB traced; each further vertex
-# doubles that.
+# The one size bound of the subset scan, whose tables hold one lane per
+# subset, 2^n in all, of 32 bits above 15 vertices.  At 22 vertices each
+# table is 16 MiB, and any 22-vertex graph peaks at about 100 MiB traced;
+# each further vertex doubles that.
 MAX_SCAN_N = 22
 
 
@@ -100,9 +104,21 @@ def reverse_bits(mask: int, n: int) -> int:
     return int(f"{mask:0{n}b}"[::-1], 2)
 
 
+def _width(n: int) -> int:
+    """The bits of one lane of an n-vertex graph's tables: the least of 8,
+    16 and 32 that exceeds n, as the carry in span_table needs n <= w - 1."""
+    return 8 if n <= 7 else 16 if n <= 15 else 32
+
+
+# The array typecode of each lane width.
+_TYPECODE = {8: "B", 16: "H", 32: "I"}
+
+
 def _lanes(table: int, n: int) -> array:
-    """The 2^n 32-bit lanes of table as an array: lane S at index S."""
-    lanes = array("I", table.to_bytes(4 << n, "little"))
+    """The 2^n lanes of table, _width(n) bits each, as an array: lane S at
+    index S."""
+    w = _width(n)
+    lanes = array(_TYPECODE[w], table.to_bytes(w // 8 << n, "little"))
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
@@ -110,8 +126,8 @@ def _lanes(table: int, n: int) -> array:
 
 def span_table(g: Graph, k: int) -> tuple[int, int, bytes]:
     """The span table, the convex flags and the key of every subset.  The
-    first two are integers of one 32-bit lane per subset, the key has one
-    byte per subset.
+    first two are integers of one lane of w = _width(n) bits per subset,
+    the key has one byte per subset.
 
     The lanes index subsets of the graph with each id v renamed n-1-v, so
     that scan_convex walks them by size, then lexicographically on the
@@ -127,9 +143,12 @@ def span_table(g: Graph, k: int) -> tuple[int, int, bytes]:
     same doubling from the v pair intervals.  Every pair of S + {v} lies in
     S or is {u, v} with u in S, so that is the span of S + {v}.  The
     identity and size tables double alike, lane S + {v} holding S plus {v}
-    and |S| plus one.  A lane below 2^31 plus 0x7FFFFFFF reaches bit 31
-    exactly when it is nonzero, without carrying into the next lane, which
-    reads the non-convex flags off span XOR identity in one addition.
+    and |S| plus one.  Every lane of span XOR identity is an n-bit mask,
+    below 2^(w-1) as n <= w - 1, and such a lane plus 2^(w-1) - 1 reaches
+    bit w - 1 exactly when it is nonzero, without carrying into the next
+    lane: one addition reads the non-convex flags of every lane.  The key
+    is the low byte of each lane of the sizes ORed with 0xFF at the
+    non-convex lanes.
 
     The extreme points follow from the flags C: shifting C up by 2^x lanes
     and x bits puts C[S - {x}] at bit x of lane S whenever x is in S, so
@@ -148,6 +167,7 @@ def span_table(g: Graph, k: int) -> tuple[int, int, bytes]:
             f"holds a 2^n-entry table and accepts at most {MAX_SCAN_N} vertices"
         )
     k = effective_k(g, k)
+    w = _width(n)
     h = Graph._from_adj(n, [reverse_bits(a, n) for a in reversed(g._adj)])
     table = ids = sizes = 0
     for v in range(n):
@@ -155,17 +175,17 @@ def span_table(g: Graph, k: int) -> tuple[int, int, bytes]:
         ones = 1  # 1 in each lane of the subsets of 0..u-1, as u grows
         for u in range(v):
             # looked up on convexity, where a layer tracer wraps it
-            near |= (near | convexity._interval_mask(h, k, u, v) * ones) << (32 << u)
-            ones |= ones << (32 << u)
-        table |= (table | near | ones << v) << (32 << v)
-        ids |= (ids | ones << v) << (32 << v)
-        sizes |= (sizes + ones) << (32 << v)
+            near |= (near | convexity._interval_mask(h, k, u, v) * ones) << (w << u)
+            ones |= ones << (w << u)
+        table |= (table | near | ones << v) << (w << v)
+        ids |= (ids | ones << v) << (w << v)
+        sizes |= (sizes + ones) << (w << v)
     del near
-    ones |= ones << (32 << v)  # 1 in each of the 2^n lanes
+    ones |= ones << (w << v)  # 1 in each of the 2^n lanes
     nc = table ^ ids
     del ids
-    nc = (nc + 0x7FFFFFFF * ones) >> 31 & ones
-    key = (sizes | nc * 0xFF).to_bytes(4 << n, "little")[::4]
+    nc = (nc + ((1 << w - 1) - 1) * ones) >> w - 1 & ones
+    key = (sizes | nc * 0xFF).to_bytes(w // 8 << n, "little")[::w // 8]
     del sizes
     return table, ones ^ nc, key
 
@@ -233,6 +253,37 @@ def _every_convex_set_extends(key: bytes) -> bool:
     return c & ~extends < 2
 
 
+# The replay skips sets only for graphs up to this size.  Marking costs
+# about a tenth as much per lane as the rest of a rejection, which the
+# narrower lanes repay up to 15 vertices; on 32-bit lanes a replay that
+# fails early pays for the marks whole (a 16-vertex gem's rejection took
+# 13 % longer).
+_SKIP_N = 15
+
+# Each digit of a rendered mask as a key byte: 0xFF for "1", 0 for "0".
+_MARK_BYTE = bytes.maketrans(b"01", b"\x00\xff")
+
+
+def _replay_key(key: bytes) -> bytes:
+    """The span_table key with 0xFF also at every convex lane S whose every
+    point is extreme, that is, with S - x convex for each x in S.
+
+    As in _every_convex_set_extends, bit T of C is the flag of V - T.  For
+    x outside T, C shifted down by 2^x has at bit T the flag of V - (T + x),
+    that is of (V - T) - x; H_x sets the bits of the T holding x, where x
+    is not in V - T and there is nothing to test.  ANDed over x, and with C
+    itself, bit T is set when V - T is convex with every point extreme, and
+    read from the top the digits of that numeral fall in lane order.
+    """
+    n = len(key).bit_length() - 1
+    c = int(key.translate(_CONVEX_DIGIT), 2)
+    every = c
+    for step, holding in _kept_masks(n):  # n <= _SKIP_N < _KEPT_MASKS_N
+        every &= c >> step | holding
+    marks = f"{every:0{1 << n}b}".encode().translate(_MARK_BYTE)
+    return (int.from_bytes(key, "big") | int.from_bytes(marks, "big")).to_bytes(len(key), "big")
+
+
 def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     """Whether every convex set is the hull of its extreme points; if not,
     the first that is not, in size-then-lexicographic order, as the
@@ -245,6 +296,12 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     that finds no failure then means the two characterizations disagree:
     OracleDisagreementError, never an acceptance.
 
+    Up to _SKIP_N (15) vertices the replay skips the convex sets whose
+    every point is extreme, which _replay_key marks in the key: if S is
+    convex and ext(S) = S, then hull(ext S) = hull(S) = S, so such a set
+    never fails, and the first failure, and with it the certificate, is the
+    same.
+
     Refuses graphs above MAX_SCAN_N (22) vertices with SizeCapError, since
     the subset scan is 2^n, then disconnected graphs with GraphError,
     before the 2^n table is allocated.
@@ -255,14 +312,15 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     table, convex, key = span_table(g, k)
     if _every_convex_set_extends(key):
         return GeometryVerdict(True, None)
+    w = _width(n)
     ext = 0  # the extreme points of each convex set (see span_table)
     for x in range(n):
-        ext |= (convex << (32 << x) + x) & table
+        ext |= (convex << (w << x) + x) & table
     del convex
     ext = _lanes(ext, n)
     span = _lanes(table, n)
     del table
-    for smask in scan_convex(key):
+    for smask in scan_convex(_replay_key(key) if n <= _SKIP_N else key):
         hm = ext[smask]
         while (nxt := span[hm]) != hm:
             hm = nxt

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from bruteforce import (
+    brute_convex_sets,
     brute_hull,
     brute_is_convex,
     brute_one_point_geometry,
@@ -31,6 +32,7 @@ from lkconvex import (
 )
 from lkconvex import geometry
 from lkconvex.geometry import OracleDisagreementError, _lanes, reverse_bits, scan_convex, span_table
+from lkconvex.graph import set_of
 
 
 def test_strip_is_geometry(strip7):
@@ -273,3 +275,71 @@ def test_one_point_test_matches_the_replay_exhaustively(n, monkeypatch):
             assert replay_accepts == accepted[-1], (g.edges(), k)
             verdicts.add(replay_accepts)
     assert verdicts == ({True} if n < 4 else {True, False})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_replay_visits_only_sets_with_a_point_not_extreme(n, monkeypatch):
+    """A convex set whose every point is extreme is its own hull, and the
+    replay skips it.  Forced to replay every connected labelled graph, the
+    replay must visit, up to its first failure, exactly the convex sets with
+    a point that is not extreme, in scan order, by the brute-force convex
+    sets and hulls."""
+    real_scan = geometry.scan_convex
+    visits = []
+
+    def recording_scan(key):
+        for lane in real_scan(key):
+            visits.append(lane)
+            yield lane
+
+    monkeypatch.setattr(geometry, "scan_convex", recording_scan)
+    monkeypatch.setattr(geometry, "_every_convex_set_extends", lambda key: False)
+    skipped = set()
+    for g in generators.all_connected_graphs(n):
+        for k in (2, 3, 4):
+            convex = brute_convex_sets(g, k)
+            expected, failure = [], None
+            for s in map(frozenset, subsets(range(n), min_size=1)):
+                if s not in convex:
+                    continue
+                ext = frozenset(x for x in s if s - {x} in convex)
+                if ext == s:
+                    skipped.add(len(s))
+                    continue
+                expected.append(s)
+                if brute_hull(g, k, ext) != s:
+                    failure = s
+                    break
+            visits.clear()
+            try:
+                violation = verify_geometry(g, k).violation
+            except OracleDisagreementError:
+                violation = None
+            assert [set_of(reverse_bits(lane, n)) for lane in visits] == expected, (g.edges(), k)
+            assert (violation and violation.convex_set) == failure, (g.edges(), k)
+    assert skipped == set(range(1, n + 1))  # V of K_n is skipped, for one
+
+
+@pytest.mark.parametrize("n, width", [(7, 8), (8, 16), (15, 16), (16, 32)])
+def test_lane_width_changes_no_output(n, width, monkeypatch):
+    """Lanes as narrow as _width allows give the verdict, the key and every
+    lane value that 32-bit lanes give, on both sides of each width change."""
+
+    def outputs(g, k):
+        table, convex, key = span_table(g, k)
+        lanes = _lanes(table, n)
+        verdict = verify_geometry(g, k).to_json_dict()
+        return lanes.itemsize, (verdict, key, list(lanes), list(_lanes(convex, n)))
+
+    graphs = [
+        family(n, density, 30_000 + n)
+        for family in (generators.random_connected, generators.random_connected_chordal)
+        for density in (0.3, 0.7)
+    ]
+    sized = [outputs(g, k) for g in graphs for k in (2, 3)]
+    monkeypatch.setattr(geometry, "_width", lambda n: 32)
+    wide = [outputs(g, k) for g in graphs for k in (2, 3)]
+    assert {size for size, _ in sized} == {width // 8}
+    assert {size for size, _ in wide} == {4}
+    assert [out for _, out in sized] == [out for _, out in wide]
+    assert not all(verdict["geometry"] for _, (verdict, *_) in sized)  # the replay ran

@@ -180,6 +180,18 @@ def test_oracle_memory_at_the_size_cap():
     assert peak < 112 * 2**20, peak
 
 
+def test_oracle_memory_on_sixteen_bit_lanes():
+    # 2^15 lanes of 2 bytes: each table is 64 KiB, half what 32-bit lanes took
+    tracemalloc.start()
+    try:
+        verdict = verify_geometry(generators.path(15), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.is_geometry
+    assert peak < 0.6 * 2**20, peak
+
+
 def test_oracle_rejects_at_the_size_cap_within_budget():
     # a rejection pays for the one-point test, the extreme points of every
     # subset and the replay up to the first failure, {0, ..., 4}

@@ -74,14 +74,14 @@ def test_package_reads_no_environment():
 
 
 def test_one_module_knows_the_lane_tables():
-    # The oracle's tables, their 32-bit lane layout and the reversed ids they
-    # index belong to geometry.
+    # The oracle's tables, the width of their lanes and the reversed ids
+    # they index belong to geometry.
     found = [
         f"{path.name}:{line}: {name}"
         for path in _package_modules()
         if path.name != "geometry.py"
         for name, line in _names(path)
-        if name in ("span_table", "scan_convex", "_lanes", "reverse_bits")
+        if name in ("span_table", "scan_convex", "_lanes", "_width", "reverse_bits")
     ]
     assert found == []
 
