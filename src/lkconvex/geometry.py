@@ -10,17 +10,16 @@ rejection replays the hull of each convex set's extreme points, to name the
 first failure (subsets scanned in increasing size, lexicographic within a
 size) as a certificate holding the convex set, its extreme points, and the
 hull those extremes actually generate; a set whose every point is extreme
-is its own hull, and the replay skips it on small graphs (see
-verify_geometry).  Exponential by design: it is the
-ground truth the structural recognizers are validated against, so it stays
-brute force.
+is its own hull, and the replay skips it (see verify_geometry).
+Exponential by design: it is the ground truth the structural recognizers
+are validated against, so it stays brute force.
 
 This module alone holds the subset scan: span_table builds its tables over
 every subset at once, one lane per subset, scan_convex walks the convex
 sets off them, and verify_geometry is their one reader.  A lane is as wide
-as the graph needs, _width(n): 8 bits up to 7 vertices, 16 up to 15 and 32
-above.  The tables have 2^n lanes, so graphs above MAX_SCAN_N (22)
-vertices are refused.
+as the graph needs, _width(n): 16 bits up to 15 vertices and 32 above.
+The tables have 2^n lanes, so graphs above MAX_SCAN_N (22) vertices are
+refused.
 
 mkm_check_set checks one set with the public operators instead, taking
 extreme_points for its extremes and the hull they generate, and returns
@@ -105,13 +104,13 @@ def reverse_bits(mask: int, n: int) -> int:
 
 
 def _width(n: int) -> int:
-    """The bits of one lane of an n-vertex graph's tables: the least of 8,
-    16 and 32 that exceeds n, as the carry in span_table needs n <= w - 1."""
-    return 8 if n <= 7 else 16 if n <= 15 else 32
+    """The bits of one lane of an n-vertex graph's tables: 16 or 32, the
+    lesser that exceeds n, as the carry in span_table needs n <= w - 1."""
+    return 16 if n <= 15 else 32
 
 
 # The array typecode of each lane width.
-_TYPECODE = {8: "B", 16: "H", 32: "I"}
+_TYPECODE = {16: "H", 32: "I"}
 
 
 def _lanes(table: int, n: int) -> array:
@@ -152,10 +151,11 @@ def span_table(g: Graph, k: int) -> tuple[int, int, bytes]:
 
     The extreme points follow from the flags C: shifting C up by 2^x lanes
     and x bits puts C[S - {x}] at bit x of lane S whenever x is in S, so
-    ORing those shifts over x, each ANDed with the span table, gives at a
-    convex lane S (where span[S] == S) the x of S with S - x convex: its
-    extreme points by their definition.  The AND clears bit x of the lanes
-    without x, where the shift brought the flag of some other set.
+    ORing those shifts over x, ANDed with the span table, gives at a convex
+    lane S (where span[S] == S) the x of S with S - x convex: its extreme
+    points by their definition.  The AND clears bit x of the lanes without
+    x, where the shift brought the flag of some other set, and the lanes
+    the shifts push past the table.
 
     Raises SizeCapError, before allocating, when g has more than MAX_SCAN_N
     vertices.
@@ -233,52 +233,53 @@ def _lanes_holding(n: int) -> Iterator[tuple[int, int]]:
 _kept_masks = functools.cache(lambda n: tuple(_lanes_holding(n)))
 
 
-def _every_convex_set_extends(key: bytes) -> bool:
-    """Whether every convex set but V, of a span_table key, has a vertex
-    outside it whose addition leaves it convex.
+def _convex_digits(key: bytes) -> int:
+    """The convex digits of a span_table key, read as one base-2 numeral C.
 
-    Read as one base-2 numeral, the convex digits of the key put the flag of
-    lane S at bit 2^n - 1 - S, the lane of V - S: so C has bit T set when
-    the complement of T is convex.  For x in T, C shifted up by 2^x has at
-    bit T the flag of the complement of T - x, that is of (V - T) + x, and
-    H_x keeps those bits.  ORed over x, bit T of the result is set when
-    V - T has a one-point convex extension.  Every convex set but V has one
-    exactly when each set bit of C, but bit 0 (T empty, for V), is set there.
+    C puts the flag of lane S at bit 2^n - 1 - S, the lane of V - S: so C
+    has bit T set when the complement of T is convex.  Its top bit, 2^n - 1,
+    is the flag of the empty set, which is always set.
     """
-    n = len(key).bit_length() - 1
-    c = int(key.translate(_CONVEX_DIGIT), 2)
+    return int(key.translate(_CONVEX_DIGIT), 2)
+
+
+def _every_convex_set_extends(c: int) -> bool:
+    """Whether every convex set but V, by the convex digits C of a
+    span_table key (see _convex_digits), has a vertex outside it whose
+    addition leaves it convex.
+
+    For x in T, C shifted up by 2^x has at bit T the flag of the
+    complement of T - x, that is of (V - T) + x, and H_x keeps those bits.
+    ORed over x, bit T of the result is set when V - T has a one-point
+    convex extension.  Every convex set but V has one exactly when each set
+    bit of C, but bit 0 (T empty, for V), is set there.
+    """
+    n = (c.bit_length() - 1).bit_length()
     extends = 0
     for step, holding in _kept_masks(n) if n <= _KEPT_MASKS_N else _lanes_holding(n):
         extends |= c << step & holding
     return c & ~extends < 2
 
 
-# The replay skips sets only for graphs up to this size.  Marking costs
-# about a tenth as much per lane as the rest of a rejection, which the
-# narrower lanes repay up to 15 vertices; on 32-bit lanes a replay that
-# fails early pays for the marks whole (a 16-vertex gem's rejection took
-# 13 % longer).
-_SKIP_N = 15
-
 # Each digit of a rendered mask as a key byte: 0xFF for "1", 0 for "0".
 _MARK_BYTE = bytes.maketrans(b"01", b"\x00\xff")
 
 
-def _replay_key(key: bytes) -> bytes:
+def _replay_key(key: bytes, c: int) -> bytes:
     """The span_table key with 0xFF also at every convex lane S whose every
-    point is extreme, that is, with S - x convex for each x in S.
+    point is extreme, that is, with S - x convex for each x in S, by the
+    key's convex digits C.
 
-    As in _every_convex_set_extends, bit T of C is the flag of V - T.  For
-    x outside T, C shifted down by 2^x has at bit T the flag of V - (T + x),
-    that is of (V - T) - x; H_x sets the bits of the T holding x, where x
-    is not in V - T and there is nothing to test.  ANDed over x, and with C
-    itself, bit T is set when V - T is convex with every point extreme, and
-    read from the top the digits of that numeral fall in lane order.
+    Bit T of C is the flag of V - T (see _convex_digits).  For x outside T,
+    C shifted down by 2^x has at bit T the flag of V - (T + x), that is of
+    (V - T) - x; H_x sets the bits of the T holding x, where x is not in
+    V - T and there is nothing to test.  ANDed over x, and with C itself,
+    bit T is set when V - T is convex with every point extreme, and read
+    from the top the digits of that numeral fall in lane order.
     """
     n = len(key).bit_length() - 1
-    c = int(key.translate(_CONVEX_DIGIT), 2)
     every = c
-    for step, holding in _kept_masks(n):  # n <= _SKIP_N < _KEPT_MASKS_N
+    for step, holding in _kept_masks(n) if n <= _KEPT_MASKS_N else _lanes_holding(n):
         every &= c >> step | holding
     marks = f"{every:0{1 << n}b}".encode().translate(_MARK_BYTE)
     return (int.from_bytes(key, "big") | int.from_bytes(marks, "big")).to_bytes(len(key), "big")
@@ -290,17 +291,17 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     verdict's MkmViolation.
 
     The verdict comes from _every_convex_set_extends, which reads the one-
-    point characterization off the key alone (see the module docstring).
-    Only a rejection builds the extreme points of every convex set and
-    replays each one's hull from them, to find the certificate.  A replay
-    that finds no failure then means the two characterizations disagree:
-    OracleDisagreementError, never an acceptance.
+    point characterization off the key's convex digits alone (see the
+    module docstring).  Only a rejection builds the extreme points of every
+    convex set and replays each one's hull from them, to find the
+    certificate.  A replay that finds no failure then means the two
+    characterizations disagree: OracleDisagreementError, never an
+    acceptance.
 
-    Up to _SKIP_N (15) vertices the replay skips the convex sets whose
-    every point is extreme, which _replay_key marks in the key: if S is
-    convex and ext(S) = S, then hull(ext S) = hull(S) = S, so such a set
-    never fails, and the first failure, and with it the certificate, is the
-    same.
+    The replay skips the convex sets whose every point is extreme, which
+    _replay_key marks in the key, from the same digits: if S is convex and
+    ext(S) = S, then hull(ext S) = hull(S) = S, so such a set never fails,
+    and the first failure, and with it the certificate, is the same.
 
     Refuses graphs above MAX_SCAN_N (22) vertices with SizeCapError, since
     the subset scan is 2^n, then disconnected graphs with GraphError,
@@ -310,17 +311,26 @@ def verify_geometry(g: Graph, k: int) -> GeometryVerdict:
     if n <= MAX_SCAN_N and not is_connected(g):
         raise GraphError("the geometry check expects a connected graph")
     table, convex, key = span_table(g, k)
-    if _every_convex_set_extends(key):
+    c = _convex_digits(key)
+    if _every_convex_set_extends(c):
         return GeometryVerdict(True, None)
     w = _width(n)
-    ext = 0  # the extreme points of each convex set (see span_table)
-    for x in range(n):
-        ext |= (convex << (w << x) + x) & table
+    # The extreme points of each convex set (see span_table).  The AND
+    # distributes over the ORs, so it runs twice: at the end, and after the
+    # widest shift, which reaches half a table past the table's end; the
+    # others reach a quarter at most, which keeps the traced peak of a
+    # 22-vertex graph in span_table.
+    ext = 0
+    for x in reversed(range(n)):
+        ext |= convex << (w << x) + x
+        if x == n - 1:
+            ext &= table
     del convex
+    ext &= table
     ext = _lanes(ext, n)
     span = _lanes(table, n)
     del table
-    for smask in scan_convex(_replay_key(key) if n <= _SKIP_N else key):
+    for smask in scan_convex(_replay_key(key, c)):
         hm = ext[smask]
         while (nxt := span[hm]) != hm:
             hm = nxt

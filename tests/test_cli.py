@@ -234,8 +234,8 @@ def test_crosscheck_dumps_each_mismatch(capsys, tmp_path, monkeypatch):
 def _reject_accepted(monkeypatch, graphs):
     """Make the oracle's one-point test reject the given accepted graphs."""
     real = geometry._every_convex_set_extends
-    keys = {geometry.span_table(g, 3)[2] for g in graphs}
-    monkeypatch.setattr(geometry, "_every_convex_set_extends", lambda key: key not in keys and real(key))
+    digits = {geometry._convex_digits(geometry.span_table(g, 3)[2]) for g in graphs}
+    monkeypatch.setattr(geometry, "_every_convex_set_extends", lambda c: c not in digits and real(c))
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -260,8 +260,8 @@ def test_one_point_test_matches_the_replay_exhaustively(n, monkeypatch):
     real = geometry._every_convex_set_extends
     accepted = []
 
-    def replay_always(key):
-        accepted.append(real(key))
+    def replay_always(c):
+        accepted.append(real(c))
         return False
 
     monkeypatch.setattr(geometry, "_every_convex_set_extends", replay_always)
@@ -293,7 +293,7 @@ def test_the_replay_visits_only_sets_with_a_point_not_extreme(n, monkeypatch):
             yield lane
 
     monkeypatch.setattr(geometry, "scan_convex", recording_scan)
-    monkeypatch.setattr(geometry, "_every_convex_set_extends", lambda key: False)
+    monkeypatch.setattr(geometry, "_every_convex_set_extends", lambda c: False)
     skipped = set()
     for g in generators.all_connected_graphs(n):
         for k in (2, 3, 4):
@@ -320,10 +320,10 @@ def test_the_replay_visits_only_sets_with_a_point_not_extreme(n, monkeypatch):
     assert skipped == set(range(1, n + 1))  # V of K_n is skipped, for one
 
 
-@pytest.mark.parametrize("n, width", [(7, 8), (8, 16), (15, 16), (16, 32)])
-def test_lane_width_changes_no_output(n, width, monkeypatch):
-    """Lanes as narrow as _width allows give the verdict, the key and every
-    lane value that 32-bit lanes give, on both sides of each width change."""
+@pytest.mark.parametrize("n", [7, 8, 15])
+def test_sixteen_bit_lanes_change_no_output(n, monkeypatch):
+    """16-bit lanes give the verdict, the key and every lane value that
+    32-bit lanes give, up to the last size they hold."""
 
     def outputs(g, k):
         table, convex, key = span_table(g, k)
@@ -339,7 +339,11 @@ def test_lane_width_changes_no_output(n, width, monkeypatch):
     sized = [outputs(g, k) for g in graphs for k in (2, 3)]
     monkeypatch.setattr(geometry, "_width", lambda n: 32)
     wide = [outputs(g, k) for g in graphs for k in (2, 3)]
-    assert {size for size, _ in sized} == {width // 8}
+    assert {size for size, _ in sized} == {2}
     assert {size for size, _ in wide} == {4}
     assert [out for _, out in sized] == [out for _, out in wide]
     assert not all(verdict["geometry"] for _, (verdict, *_) in sized)  # the replay ran
+
+
+def test_lanes_widen_to_32_bits_above_15_vertices():
+    assert [_lanes(0, n).itemsize for n in (15, 16)] == [2, 4]
